@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/system"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // goldenHash digests an executed system: every external event in order, a
@@ -207,10 +209,29 @@ var golden = map[string]string{
 	"chaos/lifo/consensus":      "8a8efa313f26d148",
 }
 
+// viaCodec passes an artifact through trace.WriteArtifact and
+// trace.ReadArtifact, so replay tests judge what a reader of the file gets.
+func viaCodec(t *testing.T, a *trace.Artifact) *trace.Artifact {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteArtifact(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := trace.ReadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trace.Equal(b.Trace, a.Trace) {
+		t.Fatal("artifact codec round trip changed the trace")
+	}
+	return b
+}
+
 // TestGoldenCrossEngineReplay closes the loop on artifact replay: each
-// pinned chaos run is executed, converted to its wire artifact, and replayed
-// through BOTH engines — the scheduler re-execution (same kind, seed, gates)
-// and the event-by-event ioa.ReplayTrace pass over a freshly built fast-path
+// pinned chaos run is executed, converted to its wire artifact, written and
+// read back through the artifact codec, and replayed through BOTH engines —
+// the scheduler re-execution (same kind, seed, gates) and the
+// event-by-event ioa.ReplayTrace pass over a freshly built fast-path
 // system, which requires every recorded event to be enabled by some task of
 // the incremental ready-set and the fresh system's trace to be
 // byte-identical to the record.  Replay used to stop at the verdict
@@ -223,7 +244,7 @@ func TestGoldenCrossEngineReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := v.Artifact()
+			a := viaCodec(t, v.Artifact())
 			if _, err := chaos.Replay(a); err != nil {
 				t.Fatalf("replay diverged: %v", err)
 			}
@@ -400,10 +421,11 @@ func lossyHash(v chaos.Verdict) string {
 }
 
 // TestGoldenLossyReplay pins lossy executions and closes the replay loop:
-// the artifact (which records only the net spec, not the decisions) must
-// replay bit-for-bit through the scheduler re-execution AND the cross-engine
-// event-by-event pass, the recorded NetLog must be non-empty, and both a
-// tampered trace and a tampered net seed must be rejected.
+// the artifact (which records only the net spec, not the decisions), read
+// back through the artifact codec, must replay bit-for-bit through the
+// scheduler re-execution AND the cross-engine event-by-event pass, the
+// recorded NetLog must be non-empty, and both a tampered trace and a
+// tampered net seed must be rejected.
 func TestGoldenLossyReplay(t *testing.T) {
 	print := os.Getenv("GOLDEN_PRINT") != ""
 	for _, tc := range goldenLossyCases {
@@ -421,7 +443,7 @@ func TestGoldenLossyReplay(t *testing.T) {
 			if len(v.NetLog) == 0 {
 				t.Error("lossy run recorded no link events")
 			}
-			a := v.Artifact()
+			a := viaCodec(t, v.Artifact())
 			if a.Net == nil {
 				t.Fatal("artifact of a lossy run has no net spec")
 			}

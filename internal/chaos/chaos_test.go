@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -265,6 +266,31 @@ func TestSlandererFlaggedShrunkReplayed(t *testing.T) {
 	}
 	if !w.Failed() || w.Err.Error() != min.Err.Error() {
 		t.Fatalf("replay verdict %v, recorded %v", w.Err, min.Err)
+	}
+}
+
+// TestReplayAcceptsV1Artifact replays the version-1 artifact checked in
+// under internal/trace/testdata: an artifact written before the compact
+// format must still load, pass the cross-engine pass, and re-execute to its
+// recorded verdict and trace.
+func TestReplayAcceptsV1Artifact(t *testing.T) {
+	f, err := os.Open("../trace/testdata/artifact_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a, err := trace.ReadArtifact(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Version != 1 || len(a.Trace) == 0 {
+		t.Fatalf("fixture: version %d, %d events; want a non-empty version-1 trace", a.Version, len(a.Trace))
+	}
+	if err := ReplayThroughSystem(a); err != nil {
+		t.Fatalf("cross-engine replay of the version-1 artifact: %v", err)
+	}
+	if _, err := Replay(a); err != nil {
+		t.Fatalf("replay of the version-1 artifact: %v", err)
 	}
 }
 

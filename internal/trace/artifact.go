@@ -8,8 +8,16 @@ import (
 	"repro/internal/ioa"
 )
 
-// ArtifactVersion is the current wire-format version of Artifact.
-const ArtifactVersion = 1
+// ArtifactVersion is the wire-format version WriteArtifact writes.
+// ReadArtifact reads it and version 1.
+//
+// Version 1 carried the trace as "events", one jsonEvent object per event.
+// Version 2 writes each distinct action once: "actions" lists the trace's
+// distinct actions in order of first occurrence, each in jsonEvent form, and
+// "events" holds one index into "actions" per trace event.  Traces repeat a
+// few actions many times (a 3-location chaos run: ~12 distinct in ~2,800
+// events), so the trace costs ~4 bytes per event instead of ~80.
+const ArtifactVersion = 2
 
 // GateVeto records one scheduling veto by an adversarial gate: the step
 // counter at which an enabled action was held back, and the action.  The
@@ -88,35 +96,89 @@ type Artifact struct {
 	Trace    T      `json:"-"`
 }
 
-// artifactWire is Artifact with the trace in jsonEvent form.
-type artifactWire struct {
+// artifactWire is Artifact with the trace in wire form.  WriteArtifact
+// fills Events with action-table indices; ReadArtifact keeps it raw until
+// the version says how to decode it.
+type artifactWire[E any] struct {
 	Artifact
-	Events []jsonEvent `json:"events,omitempty"`
+	Actions []jsonEvent `json:"actions,omitempty"`
+	Events  E           `json:"events,omitempty"`
 }
 
-// WriteArtifact writes the artifact as indented JSON.
+// WriteArtifact writes the artifact as compact version-2 JSON: the header
+// fields, the table of distinct actions, and one table index per event.
 func WriteArtifact(w io.Writer, a *Artifact) error {
-	wire := artifactWire{Artifact: *a, Events: encodeEvents(a.Trace)}
+	index := make(map[ioa.Action]int32)
+	var table T
+	events := make([]int32, len(a.Trace))
+	for i, act := range a.Trace {
+		k, ok := index[act]
+		if !ok {
+			k = int32(len(table))
+			index[act] = k
+			table = append(table, act)
+		}
+		events[i] = k
+	}
+	wire := artifactWire[[]int32]{Artifact: *a, Actions: encodeEvents(table), Events: events}
 	wire.Version = ArtifactVersion
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(wire)
+	return json.NewEncoder(w).Encode(wire)
 }
 
-// ReadArtifact reads an artifact written by WriteArtifact.
+// ReadArtifact reads an artifact of version 1 or 2.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
-	var wire artifactWire
+	var wire artifactWire[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("trace: decoding artifact: %w", err)
 	}
-	if wire.Version != ArtifactVersion {
-		return nil, fmt.Errorf("trace: artifact version %d, want %d", wire.Version, ArtifactVersion)
+	var t T
+	var err error
+	switch wire.Version {
+	case 1:
+		t, err = decodeV1(wire.Events)
+	case 2:
+		t, err = decodeV2(wire.Actions, wire.Events)
+	default:
+		return nil, fmt.Errorf("trace: artifact version %d, want 1 or %d", wire.Version, ArtifactVersion)
 	}
-	t, err := decodeEvents(wire.Events)
 	if err != nil {
 		return nil, err
 	}
 	a := wire.Artifact
 	a.Trace = t
 	return &a, nil
+}
+
+// decodeV1 decodes a version-1 events array: one jsonEvent per event.
+func decodeV1(raw json.RawMessage) (T, error) {
+	var events []jsonEvent
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, &events); err != nil {
+			return nil, fmt.Errorf("trace: decoding artifact events: %w", err)
+		}
+	}
+	return decodeEvents(events)
+}
+
+// decodeV2 decodes a version-2 trace: the action table, validated like
+// version-1 events, and the per-event indices into it, each range-checked.
+func decodeV2(actions []jsonEvent, raw json.RawMessage) (T, error) {
+	table, err := decodeEvents(actions)
+	if err != nil {
+		return nil, fmt.Errorf("trace: artifact actions table: %w", err)
+	}
+	var events []int32
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, &events); err != nil {
+			return nil, fmt.Errorf("trace: decoding artifact events: %w", err)
+		}
+	}
+	t := make(T, len(events))
+	for i, k := range events {
+		if k < 0 || int(k) >= len(table) {
+			return nil, fmt.Errorf("trace: event %d has action index %d, table has %d actions", i, k, len(table))
+		}
+		t[i] = table[k]
+	}
+	return t, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,10 +104,156 @@ func TestArtifactStampsRoundTrip(t *testing.T) {
 }
 
 func TestArtifactVersionMismatch(t *testing.T) {
-	in := strings.NewReader(`{"version": 99, "target": "x"}`)
-	if _, err := ReadArtifact(in); err == nil {
-		t.Fatal("future version accepted")
+	for _, in := range []string{`{"version": 99, "target": "x"}`, `{"version": 0, "target": "x"}`} {
+		if _, err := ReadArtifact(strings.NewReader(in)); err == nil {
+			t.Fatalf("unknown version accepted: %s", in)
+		}
 	}
+}
+
+// TestArtifactWritesEachActionOnce pins the version-2 layout: the actions
+// table holds each distinct action once, in order of first occurrence, and
+// events index into it.
+func TestArtifactWritesEachActionOnce(t *testing.T) {
+	a := &Artifact{Target: "t", N: 2, Trace: T{
+		ioa.FDOutput("FD-P", 0, "{}"),
+		ioa.Send(0, 1, "m"),
+		ioa.FDOutput("FD-P", 0, "{}"),
+		ioa.Crash(1),
+		ioa.Send(0, 1, "m"),
+	}}
+	var buf bytes.Buffer
+	if err := WriteArtifact(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{`"version":2`, `"events":[0,1,0,2,1]`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("artifact lacks %s: %s", want, out)
+		}
+	}
+	if got := strings.Count(out, `"kind":`); got != 3 {
+		t.Errorf("actions table has %d entries, want 3: %s", got, out)
+	}
+	if strings.Contains(out, "\n ") {
+		t.Errorf("artifact is indented: %s", out)
+	}
+}
+
+// TestArtifactReadsV1 loads a version-1 artifact checked in from the
+// version-1 writer — a lossy gossip:FD-Q>FD-P run at n=3 with location 2
+// crashed behind a crash-after gate — and requires its trace to survive a
+// version-2 round trip unchanged.
+func TestArtifactReadsV1(t *testing.T) {
+	a := readV1Fixture(t)
+	if a.Version != 1 {
+		t.Fatalf("fixture version = %d, want 1", a.Version)
+	}
+	if len(a.GateLog) == 0 || a.Net == nil || len(a.NetLog) == 0 || len(a.Crash) == 0 {
+		t.Fatalf("fixture lacks a gate log, net spec or crash plan: %+v", a)
+	}
+	if Count(a.Trace, func(x ioa.Action) bool { return x.Kind == ioa.KindCrash }) != 1 {
+		t.Fatal("fixture trace has no crash event")
+	}
+	var buf bytes.Buffer
+	if err := WriteArtifact(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(b.Trace, a.Trace) {
+		t.Fatal("version-2 round trip changed the version-1 trace")
+	}
+	b.Version = a.Version
+	if !reflect.DeepEqual(b, a) {
+		t.Fatalf("version-2 round trip changed the header:\n%+v\n%+v", b, a)
+	}
+}
+
+func readV1Fixture(t *testing.T) *Artifact {
+	t.Helper()
+	f, err := os.Open("testdata/artifact_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a, err := ReadArtifact(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestArtifactRejectsMalformed feeds ReadArtifact broken version-2 (and
+// version-1) inputs; each must be rejected with an error naming the cause.
+func TestArtifactRejectsMalformed(t *testing.T) {
+	const fd = `{"kind":"fd","name":"FD-P","loc":0,"payload":"{}"}`
+	cases := []struct {
+		name, in, want string
+	}{
+		{"index out of range", `{"version":2,"actions":[` + fd + `],"events":[0,1]}`, "event 1 has action index 1"},
+		{"negative index", `{"version":2,"actions":[` + fd + `],"events":[0,0,-1]}`, "event 2 has action index -1"},
+		{"index without table", `{"version":2,"events":[0]}`, "event 0 has action index 0"},
+		{"fractional index", `{"version":2,"actions":[` + fd + `],"events":[0.5]}`, "decoding artifact events"},
+		{"oversized index", `{"version":2,"actions":[` + fd + `],"events":[4294967296]}`, "decoding artifact events"},
+		{"unknown kind in actions", `{"version":2,"actions":[{"kind":"teleport","name":"x","loc":0}],"events":[0]}`, "unknown kind"},
+		{"send without peer in actions", `{"version":2,"actions":[{"kind":"send","name":"send","loc":0,"payload":"m"}],"events":[0]}`, "lacks peer"},
+		{"v1 events as indices", `{"version":1,"events":[0]}`, "decoding artifact events"},
+		{"v2 events as objects", `{"version":2,"actions":[` + fd + `],"events":[` + fd + `]}`, "decoding artifact events"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadArtifact(strings.NewReader(tc.in))
+			if err == nil {
+				t.Fatal("malformed artifact accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzReadArtifact feeds ReadArtifact arbitrary bytes.  It must never
+// panic, and any artifact it accepts must re-encode and re-read to an
+// equal trace.
+func FuzzReadArtifact(f *testing.F) {
+	v1, err := os.ReadFile("testdata/artifact_v1.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	a, err := ReadArtifact(bytes.NewReader(v1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := WriteArtifact(&v2, a); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+	f.Add([]byte(`{"version":2,"actions":[{"kind":"crash","loc":1},{"kind":"receive","name":"receive","loc":0,"peer":2,"payload":"m"}],"events":[1,0,1]}`))
+	f.Add([]byte(`{"version":1,"events":[{"kind":"fd","name":"FD-Ω","loc":0,"payload":"1"}]}`))
+	f.Add([]byte(`{"version":2,"actions":[],"events":[-1]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := ReadArtifact(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteArtifact(&buf, a); err != nil {
+			t.Fatalf("re-encoding an accepted artifact: %v", err)
+		}
+		b, err := ReadArtifact(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted artifact: %v\n%s", err, buf.Bytes())
+		}
+		if !Equal(b.Trace, a.Trace) {
+			t.Fatalf("round trip changed the trace:\n%v\n%v", b.Trace, a.Trace)
+		}
+	})
 }
 
 func TestArtifactEmptyTrace(t *testing.T) {
