@@ -1,7 +1,8 @@
 // Command chaos drives the fault-injection harness of internal/chaos:
 // randomized fault plans and adversarial schedules swept against the
 // repository's specification checkers, with failing runs shrunk to minimal
-// reproducers and written as replayable JSON artifacts.
+// reproducers and written as replayable JSON artifacts.  Its run subcommand
+// executes one run of any target, simulated or live.
 //
 // Subcommands:
 //
@@ -14,14 +15,21 @@
 //	             [-seed 1] [-steps 0] [-crash-after 0] [-crash-gap 0]
 //	             [-delay-nth 0] [-delay-for 0] [-topo ring] [-drop 100]
 //	             [-dup 0] [-reorder 0] [-net-seed 1] [-partition-mask 3]
-//	             [-partition-at 0] [-heal-at 0] [-out artifact.json] [-qos]
+//	             [-partition-at 0] [-heal-at 0] [-transport chan]
+//	             [-interval 100µs] [-duration 30s] [-v] [-out artifact.json]
+//	             [-qos]
 //	    Execute one fully specified run — optionally over an adversarial
 //	    network (restricted topology, lossy links, partition window) —
-//	    and print the verdict.
+//	    and print the verdict.  -sched live runs the target on real
+//	    goroutines over the chosen -transport (chan or tcp) with -interval
+//	    heartbeats for at most -duration, then checks the trace and
+//	    re-drives it through the simulated engine; the step-based gate flags
+//	    do not apply to it.  -v prints every trace event.
 //
 //	chaos replay ARTIFACT.json
 //	    Re-execute a recorded run and confirm it reproduces the recorded
-//	    verdict and trace exactly.
+//	    verdict and trace exactly.  A live artifact is re-driven through a
+//	    fresh system and re-judged instead.
 //
 //	chaos survey [-n 4] [-seeds 1] [-steps 0] [-workers 4] [-short]
 //	    Sweep the property-survival grid: scenarios (topologies, loss
@@ -30,12 +38,19 @@
 //	    bit-for-bit.  Prints the survival table; exits non-zero unless the
 //	    grid is clean and both controls hold.
 //
+// Target IDs: detector:F, consensus:F, selfimpl:F (F stacked with the
+// Algorithm-3 self-implementation), kset, nbac:F, urb:majority,
+// participant:consensus, gossip:SRC>OUT[>REDUCE] and relay:SRC>OUT[>REDUCE],
+// where F is a detector family (afdcheck -list).
+//
 // Examples:
 //
 //	chaos sweep
 //	chaos sweep -targets detector:slanderer -out /tmp/artifacts
 //	chaos run -target consensus:FD-Ω -n 5 -crash 1,3 -sched lifo -seed 7
 //	chaos run -target gossip:FD-Q>FD-P -n 4 -crash 1 -topo ring
+//	chaos run -target selfimpl:FD-P -n 3 -crash 2 -crash-after 30 -crash-gap 30
+//	chaos run -target urb:majority -n 3 -crash 0 -sched live -transport tcp
 //	chaos replay /tmp/artifacts/fail-0.json
 //	chaos survey -short
 package main
@@ -47,10 +62,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/causal"
 	"repro/internal/chaos"
 	"repro/internal/ioa"
+	"repro/internal/live"
 	"repro/internal/system"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -179,8 +196,8 @@ func runOne(args []string) error {
 		target     = fs.String("target", "detector:FD-Ω", "target ID, e.g. detector:FD-P or consensus:FD-Ω")
 		n          = fs.Int("n", 3, "number of locations")
 		crash      = fs.String("crash", "", "comma-separated fault plan, in crash order")
-		schedKind  = fs.String("sched", "rr", "scheduler: rr, random, or lifo")
-		seed       = fs.Int64("seed", 0, "scheduler seed (random/lifo)")
+		schedKind  = fs.String("sched", "rr", "scheduler: rr, random, lifo, or live (real goroutines)")
+		seed       = fs.Int64("seed", 0, "scheduler seed (random/lifo; live: transport jitter)")
 		steps      = fs.Int("steps", 0, "step bound (0 = default)")
 		crashAfter = fs.Int("crash-after", 0, "gate: block crashes until this step")
 		crashGap   = fs.Int("crash-gap", 0, "gate: steps between crash releases")
@@ -194,6 +211,10 @@ func runOne(args []string) error {
 		partMask   = fs.Uint64("partition-mask", 0, "gate: partition side-1 location bitmask (0 = none)")
 		partAt     = fs.Int("partition-at", 0, "gate: partition engages at this step")
 		healAt     = fs.Int("heal-at", 0, "gate: partition heals at this step (≤ partition-at: never)")
+		transport  = fs.String("transport", "chan", "live: chan | tcp")
+		interval   = fs.Duration("interval", 100*time.Microsecond, "live: heartbeat interval")
+		duration   = fs.Duration("duration", 30*time.Second, "live: wall-clock budget")
+		verbose    = fs.Bool("v", false, "print every trace event")
 		outFile    = fs.String("out", "", "write the run as an artifact to this file")
 		qos        = fs.Bool("qos", false, "print per-detector QoS analytics for the run")
 		telAddr    = fs.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
@@ -227,11 +248,7 @@ func runOne(args []string) error {
 	if net.Lossy() {
 		net.Seed = *netSeed
 	}
-	var instrument func(*chaos.Built) func() error
-	if tel != nil {
-		instrument = chaos.TelemetryHook(tel)
-	}
-	v, err := chaos.ExecuteInstrumented(chaos.Run{
+	run := chaos.Run{
 		Target: t,
 		N:      *n,
 		Plan:   system.CrashOf(locs...),
@@ -240,20 +257,47 @@ func runOne(args []string) error {
 		Sched:  *schedKind,
 		Seed:   *seed,
 		Steps:  *steps,
-	}, instrument)
-	if err != nil {
-		return err
 	}
-	fmt.Printf("%s: %d steps (%s), %d trace events\n", t.ID(), v.Steps, v.Reason, len(v.Trace))
+	var a *trace.Artifact
+	var verdict, replayErr error
+	if *schedKind == chaos.SchedLive {
+		if !gates.IsZero() {
+			return fmt.Errorf("-sched live takes no step-based gate flags (-crash-after, -crash-gap, -delay-*, -partition-*, -heal-at)")
+		}
+		rep, err := runLive(run, *transport, *interval, *duration, tel)
+		if err != nil {
+			return err
+		}
+		a, verdict, replayErr = rep.Artifact, rep.VerdictErr, rep.ReplayErr
+	} else {
+		var instrument func(*chaos.Built) func() error
+		if tel != nil {
+			instrument = chaos.TelemetryHook(tel)
+		}
+		v, err := chaos.ExecuteInstrumented(run, instrument)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s: %d steps (%s), %d trace events\n", t.ID(), v.Steps, v.Reason, len(v.Trace))
+		a, verdict = v.Artifact(), v.Err
+	}
+	if *verbose {
+		for i, act := range a.Trace {
+			if a.Stamps != nil {
+				fmt.Printf("%4d %8.3fms %v\n", i, float64(a.Stamps[i])/1e6, act)
+			} else {
+				fmt.Printf("%4d %v\n", i, act)
+			}
+		}
+	}
 	if *qos {
-		for _, s := range causal.Compute(v.Trace, nil) {
+		for _, s := range causal.Compute(a.Trace, a.Stamps) {
 			fmt.Printf("qos %s: %d observers, %d detections (mean %.1f / max %d steps), propagation %d steps, %d mistakes\n",
 				s.Family, s.Observers, len(s.Detections),
 				s.DetectionMeanSteps, s.DetectionMaxSteps, s.PropagationSteps, s.MistakeCount)
 		}
 	}
 	if *outFile != "" {
-		a := v.Artifact()
 		// Cross-link artifact and Chrome trace both ways when both exist.
 		if *traceOut != "" {
 			a.TraceRef = *traceOut
@@ -266,11 +310,44 @@ func runOne(args []string) error {
 		}
 		fmt.Println("artifact:", *outFile)
 	}
-	if v.Failed() {
-		return fmt.Errorf("specification violated: %w", v.Err)
+	if replayErr != nil {
+		return fmt.Errorf("live trace diverges from the simulated engine: %w", replayErr)
+	}
+	if verdict != nil {
+		return fmt.Errorf("specification violated: %w", verdict)
 	}
 	fmt.Println("specification satisfied")
 	return nil
+}
+
+// runLive drives r's target on the live runtime — one goroutine per
+// automaton, wall-clock heartbeats, the chosen transport — and validates the
+// run with the target's checker and the cross-engine replay.
+func runLive(r chaos.Run, transport string, interval, duration time.Duration, tel telemetry.Sink) (*live.Report, error) {
+	opts := live.Options{Seed: r.Seed, Interval: interval, Duration: duration, MaxSteps: r.Steps, Telemetry: tel}
+	switch transport {
+	case "chan":
+	case "tcp":
+		tcp, err := live.NewTCPTransport()
+		if err != nil {
+			return nil, err
+		}
+		opts.Transport = tcp
+		fmt.Printf("live: tcp transport on %s\n", tcp.Addr())
+	default:
+		return nil, fmt.Errorf("unknown transport %q (chan | tcp)", transport)
+	}
+	rep, err := live.RunTarget(live.RunSpec{Target: r.Target, N: r.N, Plan: r.Plan, Net: r.Net, Opts: opts})
+	if err != nil {
+		return nil, err
+	}
+	res := rep.Result
+	fmt.Printf("%s: %d steps in %v (%s), %d trace events\n",
+		r.Target.ID(), res.Steps, res.Elapsed.Round(time.Millisecond), res.Reason, len(res.Trace))
+	if rep.ReplayErr == nil {
+		fmt.Println("replay: live trace re-driven byte-identical through the simulated engine")
+	}
+	return rep, nil
 }
 
 func runReplay(args []string) error {
@@ -310,7 +387,11 @@ func runReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: replayed %d steps deterministically\n", a.Target, v.Steps)
+	if a.Sched == chaos.SchedLive {
+		fmt.Printf("%s: live trace of %d events re-driven through a fresh system and re-judged\n", a.Target, len(a.Trace))
+	} else {
+		fmt.Printf("%s: replayed %d steps deterministically\n", a.Target, v.Steps)
+	}
 	if v.Failed() {
 		fmt.Println("reproduced violation:", v.Err)
 	} else {

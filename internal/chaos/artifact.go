@@ -102,10 +102,22 @@ func Replay(a *trace.Artifact) (Verdict, error) { return ReplayInstrumented(a, n
 // hook chooses what to watch.  This is the trace.Artifact.TraceRef
 // round-trip: a chaos binary records an artifact plus a Chrome trace, and a
 // later session re-traces exactly that run from the artifact alone.
+//
+// A live artifact (Sched == SchedLive) has no scheduler run to repeat: its
+// recorded trace is re-judged by the target's checker, and the hook watches
+// the cross-engine pass instead.
 func ReplayInstrumented(a *trace.Artifact, instrument func(*Built) func() error) (Verdict, error) {
 	r, err := RunFromArtifact(a)
 	if err != nil {
 		return Verdict{}, err
+	}
+	if a.Sched == SchedLive {
+		fair := r.Gates.EventuallyFair()
+		v := Verdict{Run: r, Steps: a.Steps, Trace: a.Trace, Err: r.Target.Checker(r.N, r.Plan, fair)(a.Trace)}
+		if v.Failed() != (a.Verdict != "") {
+			return v, fmt.Errorf("chaos: re-judged verdict %v does not match recorded %q", v.Err, a.Verdict)
+		}
+		return v, replayThrough(a, r, instrument)
 	}
 	v, err := ExecuteInstrumented(r, instrument)
 	if err != nil {
@@ -119,10 +131,7 @@ func ReplayInstrumented(a *trace.Artifact, instrument func(*Built) func() error)
 		return v, fmt.Errorf("chaos: replay trace diverges from recorded trace (%d vs %d events)",
 			len(v.Trace), len(a.Trace))
 	}
-	if err := ReplayThroughSystem(a); err != nil {
-		return v, err
-	}
-	return v, nil
+	return v, replayThrough(a, r, nil)
 }
 
 // ReplayThroughSystem performs the cross-engine half of Replay: it rebuilds
@@ -132,12 +141,18 @@ func ReplayInstrumented(a *trace.Artifact, instrument func(*Built) func() error)
 // no internal or hidden actions — the recorded trace is the complete event
 // sequence of the run.
 func ReplayThroughSystem(a *trace.Artifact) error {
-	if len(a.Trace) == 0 {
-		return nil
-	}
 	r, err := RunFromArtifact(a)
 	if err != nil {
 		return err
+	}
+	return replayThrough(a, r, nil)
+}
+
+// replayThrough is ReplayThroughSystem for the run r recorded by a, with an
+// optional ExecuteInstrumented hook attached to the fresh system.
+func replayThrough(a *trace.Artifact, r Run, instrument func(*Built) func() error) error {
+	if len(a.Trace) == 0 {
+		return nil
 	}
 	// A fresh per-run Net re-derives the recorded link decisions from the
 	// spec — the cross-engine pass replays lossy runs without the log.
@@ -149,12 +164,19 @@ func ReplayThroughSystem(a *trace.Artifact) error {
 	if err != nil {
 		return err
 	}
+	var check func() error
+	if instrument != nil {
+		check = instrument(b)
+	}
 	if idx, err := ioa.ReplayTrace(b.Sys, a.Trace, nil); err != nil {
 		return fmt.Errorf("chaos: recorded trace rejected by fresh system at event %d: %w", idx, err)
 	}
 	if got := b.Sys.Trace(); !trace.Equal(got, a.Trace) {
 		return fmt.Errorf("chaos: cross-engine replay traced %d events, recorded %d — not byte-identical",
 			len(got), len(a.Trace))
+	}
+	if check != nil {
+		return check()
 	}
 	return nil
 }

@@ -52,6 +52,14 @@ const (
 	// ties with the deterministic PRNG.  It is not fair, so runs under it
 	// are checked against safety clauses only.
 	SchedLIFO = "lifo"
+	// SchedLive names runs of the live runtime (package live): real
+	// goroutines and wall-clock timing.  Timing is not a replayable input,
+	// so Replay never re-executes a live artifact; it re-drives the recorded
+	// trace through a fresh system and re-judges it.  A live run whose
+	// partition never healed records the partition mask as a never-healing
+	// partition gate, so the re-judgement is safety-only, as the live one
+	// was.
+	SchedLive = "live"
 )
 
 // Schedulers lists every scheduler kind in sweep order.
@@ -206,8 +214,11 @@ func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, 
 	t := b.Sys.Trace()
 	// A never-healing partition starves cross-side deliveries forever, so
 	// even a fair scheduler's run is not a fair-execution prefix; downgrade
-	// to safety-only checking, mirroring the SchedLIFO split.
-	fair := Fair(r.Sched) && r.Gates.EventuallyFair()
+	// to safety-only checking, mirroring the SchedLIFO split.  So does a
+	// gated stop: every enabled action was vetoed at a frozen step count,
+	// which step-keyed gates never release, so the harness cut the run
+	// short, not the system.
+	fair := Fair(r.Sched) && r.Gates.EventuallyFair() && res.Reason != sched.StopGated
 	verdictErr := r.Target.Checker(r.N, r.Plan, fair)(t)
 	if check != nil {
 		if ierr := check(); ierr != nil {

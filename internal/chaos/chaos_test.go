@@ -205,8 +205,8 @@ func TestCompiledStarvationGate(t *testing.T) {
 // TestParseTargetRoundTrip checks every sweepable target ID resolves back to
 // a target with the same ID.
 func TestParseTargetRoundTrip(t *testing.T) {
-	ids := []string{SlandererID}
-	for _, target := range DefaultTargets() {
+	ids := []string{SlandererID, "selfimpl:FD-◇P", "kset", "nbac:FD-P"}
+	for _, target := range append(DefaultTargets(), SurveyTargets()...) {
 		ids = append(ids, target.ID())
 	}
 	for _, id := range ids {

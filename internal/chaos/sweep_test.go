@@ -30,6 +30,35 @@ func TestSweepHealthyTargets(t *testing.T) {
 	t.Logf("%s in %v", rep.Summary(), time.Since(start).Round(time.Millisecond))
 }
 
+// TestSweepProblemTargets sweeps the message-passing problem targets and the
+// self-implementation at n=3 across every scheduler and fault plan.  Their
+// gated runs can stop with every enabled action vetoed at a frozen step
+// count (sched.StopGated); such a run was cut short by the harness, so it
+// must be judged on its safety clauses only, not reported as a liveness
+// violation.
+func TestSweepProblemTargets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep skipped in -short mode")
+	}
+	var targets []Target
+	for _, id := range []string{"urb:majority", "participant:consensus", "kset", "nbac:FD-P", "selfimpl:FD-P"} {
+		target, err := ParseTarget(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, target)
+	}
+	rep := Sweep(SweepConfig{Targets: targets, N: 3, MaxT: -1, Seeds: 8})
+	for _, e := range rep.Errors {
+		t.Errorf("infrastructure error: %v", e)
+	}
+	for _, f := range rep.Failures {
+		t.Errorf("violation: %s sched=%s seed=%d plan=%v stop=%s: %v",
+			f.Run.Target.ID(), f.Run.Sched, f.Run.Seed, f.Run.Plan, f.Reason, f.Err)
+	}
+	t.Log(rep.Summary())
+}
+
 // TestSweepFlagsBrokenDetector checks the sweep's statistical power: the
 // slanderer positive control must be flagged, and every shrunk reproducer
 // must preserve the strong-accuracy clause and replay deterministically.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/problems"
 	"repro/internal/sched"
+	"repro/internal/selfimpl"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/transform"
@@ -63,11 +64,16 @@ func (d DetectorTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace
 	if err != nil {
 		return func(trace.T) error { return err }
 	}
-	w := afd.DefaultWindow()
-	if !fair {
-		w = afd.PrefixWindow()
+	return afd.Checker(det, n, window(fair))
+}
+
+// window is the detector checker window for a run: the full membership
+// window under fair schedules, safety clauses only (prefix mode) otherwise.
+func window(fair bool) afd.Window {
+	if fair {
+		return afd.DefaultWindow()
 	}
-	return afd.Checker(det, n, w)
+	return afd.PrefixWindow()
 }
 
 // ConsensusTarget runs the Section-9.3 consensus system S — CT processes, a
@@ -87,16 +93,6 @@ func (c ConsensusTarget) ID() string { return "consensus:" + c.Family }
 // MaxT implements Target: the CT algorithm needs a correct majority.
 func (c ConsensusTarget) MaxT(n int) int { return (n - 1) / 2 }
 
-// values fixes deterministic mixed proposals (0,1,0,1,...), so validity and
-// agreement are non-trivial.
-func (c ConsensusTarget) values(n int) []int {
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = i % 2
-	}
-	return vs
-}
-
 // Build implements Target.
 func (c ConsensusTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
 	det, err := afd.Lookup(c.Family, n)
@@ -108,7 +104,7 @@ func (c ConsensusTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lif
 		Family: c.Family,
 		Det:    det.Automaton(n),
 		Crash:  append([]ioa.Loc(nil), plan.Crash...),
-		Values: c.values(n),
+		Values: mixedValues(n),
 		Net:    nt,
 	}
 	var clock *system.SendClock
@@ -120,17 +116,28 @@ func (c ConsensusTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lif
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{Sys: sys, Stop: consensusStop(n)}
+	b := &Built{Sys: sys, Stop: outputStop(n, system.ActNameDecide)}
 	if clock != nil {
 		b.Prio = newestFirst(sys)
 	}
 	return b, nil
 }
 
-// consensusStop ends a run once every not-yet-crashed location has decided
-// (same bookkeeping as consensus.Run: a gated crash that never fires leaves
-// its location live and its decision required).
-func consensusStop(n int) func(*ioa.System, ioa.Action) bool {
+// mixedValues fixes deterministic mixed proposals (0,1,0,1,...), so validity
+// and agreement are non-trivial.
+func mixedValues(n int) []int {
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = i % 2
+	}
+	return vs
+}
+
+// outputStop ends a run once every not-yet-crashed location has emitted the
+// named environment output — decide for consensus and k-set, outcome for
+// NBAC (same bookkeeping as consensus.Run: a gated crash that never fires
+// leaves its location live and its output required).
+func outputStop(n int, name string) func(*ioa.System, ioa.Action) bool {
 	faulty := make(map[ioa.Loc]bool)
 	decided := make(map[ioa.Loc]bool)
 	all := func() bool {
@@ -146,7 +153,7 @@ func consensusStop(n int) func(*ioa.System, ioa.Action) bool {
 		case last.Kind == ioa.KindCrash:
 			faulty[last.Loc] = true
 			return all()
-		case last.Kind == ioa.KindEnvOut && last.Name == system.ActNameDecide:
+		case last.Kind == ioa.KindEnvOut && last.Name == name:
 			decided[last.Loc] = true
 			return all()
 		}
@@ -174,6 +181,29 @@ func newestFirst(sys *ioa.System) sched.Priority {
 		}
 		return 0
 	}
+}
+
+// meshSystem composes procs, the channel mesh over nt, envs and the crash
+// automaton, in that order.  Under lifo the channels track send stamps and
+// Prio ranks deliveries newest-first for SchedLIFO.
+func meshSystem(n int, plan system.FaultPlan, nt *system.Net, lifo bool, procs []ioa.Automaton, envs ...ioa.Automaton) (*Built, error) {
+	autos := procs
+	if lifo {
+		autos = append(autos, system.NetTrackedChannels(n, system.NewSendClock(), nt)...)
+	} else {
+		autos = append(autos, system.NetChannels(n, nt)...)
+	}
+	autos = append(autos, envs...)
+	autos = append(autos, system.NewCrash(plan))
+	sys, err := ioa.NewSystem(autos...)
+	if err != nil {
+		return nil, err
+	}
+	b := &Built{Sys: sys}
+	if lifo {
+		b.Prio = newestFirst(sys)
+	}
+	return b, nil
 }
 
 // Checker implements Target.  Under fair schedules the run is treated as
@@ -259,23 +289,7 @@ func (g GossipTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo b
 		}
 		autos = append(autos, red.Procs(n)...)
 	}
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
-	} else {
-		autos = append(autos, system.NetChannels(n, nt)...)
-	}
-	autos = append(autos, system.NewCrash(plan))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
+	return meshSystem(n, plan, nt, lifo, autos)
 }
 
 // Checker implements Target: the final family's detector checker over its
@@ -286,11 +300,7 @@ func (g GossipTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T
 	if err != nil {
 		return func(trace.T) error { return err }
 	}
-	w := afd.DefaultWindow()
-	if !fair {
-		w = afd.PrefixWindow()
-	}
-	return afd.Checker(det, n, w)
+	return afd.Checker(det, n, window(fair))
 }
 
 // URBTarget runs the uniform reliable broadcast diffusion algorithm
@@ -310,27 +320,11 @@ func (URBTarget) MaxT(n int) int { return (n - 1) / 2 }
 
 // Build implements Target.
 func (URBTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
-	autos := problems.URBMajorityProcs(n)
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
-	} else {
-		autos = append(autos, system.NetChannels(n, nt)...)
+	envs := make([]ioa.Automaton, n)
+	for i := range envs {
+		envs[i] = problems.NewBroadcasterEnv(ioa.Loc(i), string(rune('a'+i)))
 	}
-	for i := 0; i < n; i++ {
-		autos = append(autos, problems.NewBroadcasterEnv(ioa.Loc(i), string(rune('a'+i))))
-	}
-	autos = append(autos, system.NewCrash(plan))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
+	return meshSystem(n, plan, nt, lifo, problems.URBMajorityProcs(n), envs...)
 }
 
 // Checker implements Target.
@@ -357,30 +351,8 @@ func (ParticipantTarget) MaxT(int) int { return 0 }
 
 // Build implements Target.
 func (ParticipantTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
-	autos := problems.ConsensusViaParticipantProcs(n)
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
-	} else {
-		autos = append(autos, system.NetChannels(n, nt)...)
-	}
-	autos = append(autos, problems.NewParticipantOracle(n))
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = i % 2
-	}
-	autos = append(autos, system.ConsensusEnvsFixed(vals)...)
-	autos = append(autos, system.NewCrash(plan))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
+	envs := append([]ioa.Automaton{problems.NewParticipantOracle(n)}, system.ConsensusEnvsFixed(mixedValues(n))...)
+	return meshSystem(n, plan, nt, lifo, problems.ConsensusViaParticipantProcs(n), envs...)
 }
 
 // Checker implements Target: the consensus specification (f = 0) plus the
@@ -393,6 +365,138 @@ func (p ParticipantTarget) Checker(n int, _ system.FaultPlan, fair bool) func(tr
 		}
 		return problems.CheckParticipant(t)
 	}
+}
+
+// SelfImplTarget stacks a zoo detector with the Algorithm-3
+// self-implementation (selfimpl.NewCollection), which relays every output of
+// Family as an output of the renamed family Family′.  It judges the trace
+// with the Section-6 proof pipeline (selfimpl.VerifyProof) and then checks
+// the renamed outputs, inverted back to Family, with Family's own checker:
+// Theorem 13, that every AFD implements itself, on this run.
+type SelfImplTarget struct {
+	// Family is the source detector family (e.g. afd.FamilyP).
+	Family string
+}
+
+var _ Target = SelfImplTarget{}
+
+// ID implements Target.
+func (s SelfImplTarget) ID() string { return "selfimpl:" + s.Family }
+
+// MaxT implements Target: as for a bare detector, one location stays live.
+func (s SelfImplTarget) MaxT(n int) int { return n - 1 }
+
+func (s SelfImplTarget) renaming() selfimpl.Renaming {
+	return selfimpl.Renaming{From: s.Family, To: s.Family + "'"}
+}
+
+// Build implements Target.  The composition has no channels, so the
+// adversarial network is irrelevant and ignored.
+func (s SelfImplTarget) Build(n int, plan system.FaultPlan, _ *system.Net, _ bool) (*Built, error) {
+	det, err := afd.Lookup(s.Family, n)
+	if err != nil {
+		return nil, err
+	}
+	autos := append([]ioa.Automaton{det.Automaton(n)}, selfimpl.NewCollection(n, s.renaming())...)
+	sys, err := ioa.NewSystem(append(autos, system.NewCrash(plan))...)
+	if err != nil {
+		return nil, err
+	}
+	return &Built{Sys: sys}, nil
+}
+
+// Checker implements Target: the proof pipeline, then the source family's
+// checker (safety clauses only when the run is not fair) over the inverted
+// renamed outputs.
+func (s SelfImplTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
+	det, err := afd.Lookup(s.Family, n)
+	if err != nil {
+		return func(trace.T) error { return err }
+	}
+	check := afd.Checker(det, n, window(fair))
+	ren := s.renaming()
+	return func(t trace.T) error {
+		if _, err := selfimpl.VerifyProof(t, n, ren); err != nil {
+			return err
+		}
+		return check(ren.InvertTrace(trace.FD(t, ren.To)))
+	}
+}
+
+// KSetTarget runs the detector-free (f+1)-set agreement algorithm
+// (problems.KSetProcs) with f = len(plan.Crash) and the mixed proposals of
+// the consensus targets, and judges the trace against
+// problems.KSetAgreement with k = f+1.
+type KSetTarget struct{}
+
+var _ Target = KSetTarget{}
+
+// ID implements Target.
+func (KSetTarget) ID() string { return "kset" }
+
+// MaxT implements Target: k = f+1 keeps every crash count solvable.
+func (KSetTarget) MaxT(n int) int { return n - 1 }
+
+// Build implements Target.
+func (KSetTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
+	b, err := meshSystem(n, plan, nt, lifo, problems.KSetProcs(n, len(plan.Crash)),
+		system.ConsensusEnvsFixed(mixedValues(n))...)
+	if err != nil {
+		return nil, err
+	}
+	b.Stop = outputStop(n, system.ActNameDecide)
+	return b, nil
+}
+
+// Checker implements Target.
+func (KSetTarget) Checker(n int, plan system.FaultPlan, fair bool) func(trace.T) error {
+	spec := problems.KSetAgreement{N: n, K: len(plan.Crash) + 1}
+	return func(t trace.T) error { return spec.Check(consensus.ProjectIO(t), fair) }
+}
+
+// NBACTarget runs non-blocking atomic commit (problems.NBACProcs) over a
+// suspicion-set detector, with every location voting yes, and judges the
+// trace against problems.NBAC.  The algorithm is correct over the perfect
+// detector (afd.FamilyP).
+type NBACTarget struct {
+	// Family is the detector family NBAC runs with (e.g. afd.FamilyP).
+	Family string
+}
+
+var _ Target = NBACTarget{}
+
+// ID implements Target.
+func (c NBACTarget) ID() string { return "nbac:" + c.Family }
+
+// MaxT implements Target: the embedded consensus over P tolerates f ≤ n−1.
+func (c NBACTarget) MaxT(n int) int { return n - 1 }
+
+// Build implements Target.
+func (c NBACTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
+	procs, err := problems.NBACProcs(n, c.Family)
+	if err != nil {
+		return nil, err
+	}
+	det, err := afd.Lookup(c.Family, n)
+	if err != nil {
+		return nil, err
+	}
+	votes := make([]string, n)
+	for i := range votes {
+		votes[i] = problems.VoteYes
+	}
+	envs := append(problems.VoterEnvs(votes), det.Automaton(n))
+	b, err := meshSystem(n, plan, nt, lifo, procs, envs...)
+	if err != nil {
+		return nil, err
+	}
+	b.Stop = outputStop(n, problems.ActNameOutcome)
+	return b, nil
+}
+
+// Checker implements Target.
+func (c NBACTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
+	return func(t trace.T) error { return problems.NBAC{N: n}.Check(t, fair) }
 }
 
 // ParseTarget resolves an artifact target ID back to a Target.
@@ -414,6 +518,12 @@ func ParseTarget(id string) (Target, error) {
 			g.Reduce = parts[2]
 		}
 		return g, nil
+	case strings.HasPrefix(id, "selfimpl:"):
+		return SelfImplTarget{Family: strings.TrimPrefix(id, "selfimpl:")}, nil
+	case id == "kset":
+		return KSetTarget{}, nil
+	case strings.HasPrefix(id, "nbac:"):
+		return NBACTarget{Family: strings.TrimPrefix(id, "nbac:")}, nil
 	case id == "urb:majority":
 		return URBTarget{}, nil
 	case id == "participant:consensus":

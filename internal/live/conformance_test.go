@@ -56,6 +56,10 @@ func TestConformanceTable(t *testing.T) {
 		{target: "gossip:FD-Q>FD-P", n: 3, crash: []int{2}},
 		{target: "gossip:FD-◇Q>FD-◇P>FD-Ω", n: 4, crash: []int{1}},
 		{target: "urb:majority", n: 3, crash: []int{0}},
+		// The problem targets stop early, once every live location has
+		// decided (kset) or output its outcome (nbac).
+		{target: "kset", n: 3, crash: []int{1}},
+		{target: "nbac:FD-P", n: 3, crash: []int{2}},
 	}
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {

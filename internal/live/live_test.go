@@ -1,12 +1,14 @@
 package live
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/system"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func mustTarget(t *testing.T, id string) chaos.Target {
@@ -43,7 +45,7 @@ func TestLiveOmegaStackValidates(t *testing.T) {
 	if rep.Result.Steps == 0 || len(rep.Artifact.Trace) == 0 {
 		t.Fatalf("empty run: steps=%d trace=%d", rep.Result.Steps, len(rep.Artifact.Trace))
 	}
-	if got, want := rep.Artifact.Sched, SchedLive; got != want {
+	if got, want := rep.Artifact.Sched, chaos.SchedLive; got != want {
 		t.Errorf("artifact sched = %q, want %q", got, want)
 	}
 	if len(rep.Result.Stamps) != len(rep.Result.Trace) {
@@ -82,6 +84,60 @@ func TestLiveCrashRealized(t *testing.T) {
 	}
 	if crashes != 1 {
 		t.Errorf("trace has %d crash events, want 1", crashes)
+	}
+}
+
+// TestLiveArtifactReplays: chaos.Replay accepts live artifacts read back from
+// their wire form.  It re-drives the trace through a fresh system and
+// re-judges it, and it rejects an artifact whose recorded verdict the
+// re-judgement contradicts.  The permanently partitioned run must replay
+// under safety clauses only, as it was judged live.
+func TestLiveArtifactReplays(t *testing.T) {
+	specs := map[string]RunSpec{
+		"crash": {
+			Target: mustTarget(t, "gossip:FD-◇Q>FD-◇P"),
+			N:      3,
+			Plan:   system.CrashOf(1),
+			Opts:   Options{Seed: 2, Duration: 10 * time.Second, CrashAfter: 2 * time.Millisecond},
+		},
+		// Location 0's broadcast never crosses the partition, so only the
+		// safety-only judgement the live run used accepts the trace.
+		"permanent-partition": {
+			Target: mustTarget(t, "urb:majority"),
+			N:      3,
+			Opts: Options{Seed: 17, Duration: 50 * time.Millisecond,
+				PartitionMask: 0b001, PartitionAfter: time.Microsecond},
+		},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			rep, err := RunTarget(spec)
+			if err != nil {
+				t.Fatalf("RunTarget: %v", err)
+			}
+			if !rep.Ok() {
+				t.Fatalf("verdict=%v replay=%v", rep.VerdictErr, rep.ReplayErr)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteArtifact(&buf, rep.Artifact); err != nil {
+				t.Fatal(err)
+			}
+			a, err := trace.ReadArtifact(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := chaos.Replay(a)
+			if err != nil {
+				t.Fatalf("chaos.Replay: %v", err)
+			}
+			if v.Failed() {
+				t.Errorf("re-judged verdict: %v", v.Err)
+			}
+			a.Verdict = "forged violation"
+			if _, err := chaos.Replay(a); err == nil {
+				t.Error("chaos.Replay accepted a live artifact with a contradicted verdict")
+			}
+		})
 	}
 }
 

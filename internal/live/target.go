@@ -8,13 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// SchedLive is the scheduler name recorded in artifacts produced by live
-// runs.  Live artifacts are never re-executed by the chaos scheduler loop
-// (wall-clock timing is not a replayable input); they are validated by the
-// cross-engine pass, chaos.ReplayThroughSystem, which only needs the target
-// and the recorded trace.
-const SchedLive = "live"
-
 // RunSpec is one fully specified live execution of a chaos target.
 type RunSpec struct {
 	// Target is the system-under-test (chaos.ParseTarget IDs).
@@ -38,7 +31,7 @@ type RunSpec struct {
 // artifact, and the two validation verdicts.
 type Report struct {
 	Result Result
-	// Artifact records the run with Sched == SchedLive; its Trace is the
+	// Artifact records the run with Sched == chaos.SchedLive; its Trace is the
 	// live event log and its Verdict the checker's.
 	Artifact *trace.Artifact
 	// Fair echoes Result.Fair: whether liveness clauses were enforced.
@@ -95,7 +88,7 @@ func RunTarget(spec RunSpec) (*Report, error) {
 		Target: spec.Target.ID(),
 		N:      spec.N,
 		Steps:  res.Steps,
-		Sched:  SchedLive,
+		Sched:  chaos.SchedLive,
 		Seed:   opts.Seed,
 		Crash:  spec.Plan.Crash,
 		// Persisting the per-event stamps and the wall-clock epoch makes the
@@ -107,6 +100,11 @@ func RunTarget(spec RunSpec) (*Report, error) {
 	}
 	if verdict != nil {
 		a.Verdict = verdict.Error()
+	}
+	// A partition that never healed is recorded as a never-healing
+	// partition gate, so chaos.Replay re-judges on safety clauses only.
+	if !res.Fair {
+		a.Gate = chaos.GateSpec{PartitionMask: opts.PartitionMask}.Params()
 	}
 	if !spec.Net.IsZero() {
 		a.Net = &trace.NetWire{

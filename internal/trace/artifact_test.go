@@ -25,7 +25,10 @@ func TestArtifactRoundTrip(t *testing.T) {
 			ioa.Crash(2),
 			ioa.FDOutput("FD-P", 0, "{2}"),
 			ioa.Send(0, 1, "m"),
+			ioa.Send(1, 0, "x"),
 			ioa.Receive(1, 0, "m"),
+			ioa.EnvInput("propose", 0, "1"),
+			ioa.EnvOutput("decide", 0, "1"),
 		},
 	}
 	var buf bytes.Buffer
@@ -202,6 +205,8 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 		{"send without peer in actions", `{"version":2,"actions":[{"kind":"send","name":"send","loc":0,"payload":"m"}],"events":[0]}`, "lacks peer"},
 		{"v1 events as indices", `{"version":1,"events":[0]}`, "decoding artifact events"},
 		{"v2 events as objects", `{"version":2,"actions":[` + fd + `],"events":[` + fd + `]}`, "decoding artifact events"},
+		{"fd without name in actions", `{"version":2,"actions":[{"kind":"fd","loc":0,"payload":"1"}],"events":[0]}`, "lacks name"},
+		{"not json", `not json`, "decoding artifact"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,6 +218,33 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestArtifactPeerZeroPreserved: peer 0 must survive the omitempty handling
+// of the wire form.
+func TestArtifactPeerZeroPreserved(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteArtifact(&buf, &Artifact{Target: "t", N: 2, Trace: T{ioa.Send(1, 0, "m")}}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Trace[0].Peer != 0 {
+		t.Fatalf("peer = %v, want 0", b.Trace[0].Peer)
+	}
+}
+
+// TestArtifactCrashWithoutName: a crash entry may omit its name.
+func TestArtifactCrashWithoutName(t *testing.T) {
+	b, err := ReadArtifact(strings.NewReader(`{"version":2,"actions":[{"kind":"crash","loc":2}],"events":[0]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Trace[0] != ioa.Crash(2) {
+		t.Fatalf("got %v", b.Trace[0])
 	}
 }
 
