@@ -25,10 +25,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 			ioa.Crash(2),
 			ioa.FDOutput("FD-P", 0, "{2}"),
 			ioa.Send(0, 1, "m"),
-			ioa.Send(1, 0, "x"),
 			ioa.Receive(1, 0, "m"),
-			ioa.EnvInput("propose", 0, "1"),
-			ioa.EnvOutput("decide", 0, "1"),
 		},
 	}
 	var buf bytes.Buffer
@@ -57,6 +54,31 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if b.Version != ArtifactVersion {
 		t.Fatalf("version = %d", b.Version)
+	}
+}
+
+// TestArtifactEveryKindRoundTrip: one action of every kind, including a
+// send to peer 0, survives the wire unchanged.
+func TestArtifactEveryKindRoundTrip(t *testing.T) {
+	tr := T{
+		ioa.Crash(1),
+		ioa.Send(0, 1, "m"),
+		ioa.Send(1, 0, "x"),
+		ioa.Receive(1, 0, "m"),
+		ioa.FDOutput("FD-Ω", 2, "0"),
+		ioa.EnvInput("propose", 0, "1"),
+		ioa.EnvOutput("decide", 0, "1"),
+	}
+	var buf bytes.Buffer
+	if err := WriteArtifact(&buf, &Artifact{Target: "t", N: 3, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(b.Trace, tr) {
+		t.Fatalf("round trip mismatch:\nwant %v\ngot  %v", tr, b.Trace)
 	}
 }
 
