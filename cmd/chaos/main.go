@@ -281,6 +281,9 @@ func runOne(args []string) error {
 		fmt.Printf("%s: %d steps (%s), %d trace events\n", t.ID(), v.Steps, v.Reason, len(v.Trace))
 		a, verdict = v.Artifact(), v.Err
 	}
+	if tel != nil {
+		causal.RecordQoS(a.Trace, tel)
+	}
 	if *verbose {
 		for i, act := range a.Trace {
 			if a.Stamps != nil {
@@ -386,6 +389,9 @@ func runReplay(args []string) error {
 	v, err := chaos.ReplayInstrumented(a, instrument)
 	if err != nil {
 		return err
+	}
+	if tel != nil {
+		causal.RecordQoS(v.Trace, tel)
 	}
 	if a.Sched == chaos.SchedLive {
 		fmt.Printf("%s: live trace of %d events re-driven through a fresh system and re-judged\n", a.Target, len(a.Trace))

@@ -19,11 +19,14 @@ import (
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	"repro/internal/afd"
+	"repro/internal/causal"
 	"repro/internal/chaos"
 	"repro/internal/consensus"
 	"repro/internal/ioa"
+	"repro/internal/live"
 	"repro/internal/sched"
 	"repro/internal/system"
 	"repro/internal/telemetry"
@@ -266,17 +269,17 @@ func TestGoldenCrossEngineReplay(t *testing.T) {
 }
 
 // TestGoldenTracesTelemetryOn re-runs representative pinned cases with the
-// full telemetry plane attached — system sink, channel instrumentation,
-// scheduler counters, and the suspicion-observer gate — and requires the
-// SAME golden hashes as the metered-off runs.  This is the "attaching
-// telemetry never perturbs scheduling" guarantee: instrumentation is
-// strictly read-only (the observer gate always admits), so the trace and
-// final state must stay byte-identical.
+// full telemetry plane attached — system sink, channel instrumentation and
+// scheduler counters, then the detector-QoS metrics recorded from the
+// finished trace — and requires the SAME golden hashes as the metered-off
+// runs.  This is the "attaching telemetry never perturbs scheduling"
+// guarantee: instrumentation is strictly read-only, so the trace and final
+// state must stay byte-identical.
 func TestGoldenTracesTelemetryOn(t *testing.T) {
 	cases := []struct {
 		name string
-		// wantSusp: the composition emits suspect-set outputs, so the observer
-		// gate must count additions (Ω emits leader picks, which it skips).
+		// wantSusp: the composition emits suspect-set outputs, so the QoS
+		// record must count additions (Ω emits leader picks, which it skips).
 		wantSusp bool
 		run      func(t testing.TB, reg *telemetry.Registry) *ioa.System
 	}{
@@ -286,7 +289,7 @@ func TestGoldenTracesTelemetryOn(t *testing.T) {
 			system.InstrumentChannels(sys, reg)
 			sched.RoundRobin(sys, sched.Options{
 				MaxSteps:  600,
-				Gate:      sched.Gates(sched.CrashesAfter(40, 20), chaos.SuspicionGate(reg)),
+				Gate:      sched.CrashesAfter(40, 20),
 				Telemetry: reg,
 			})
 			return sys
@@ -297,7 +300,7 @@ func TestGoldenTracesTelemetryOn(t *testing.T) {
 			system.InstrumentChannels(sys, reg)
 			sched.Random(sys, 1, sched.Options{
 				MaxSteps:  600,
-				Gate:      sched.Gates(sched.CrashesAfter(40, 20), chaos.SuspicionGate(reg)),
+				Gate:      sched.CrashesAfter(40, 20),
 				Telemetry: reg,
 			})
 			return sys
@@ -308,7 +311,7 @@ func TestGoldenTracesTelemetryOn(t *testing.T) {
 			system.InstrumentChannels(sys, reg)
 			sched.Random(sys, 7, sched.Options{
 				MaxSteps:  2000,
-				Gate:      sched.Gates(sched.CrashesAfter(50, 0), chaos.SuspicionGate(reg)),
+				Gate:      sched.CrashesAfter(50, 0),
 				Telemetry: reg,
 			})
 			return sys
@@ -318,6 +321,7 @@ func TestGoldenTracesTelemetryOn(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			sys := tc.run(t, reg)
+			causal.RecordQoS(sys.Trace(), reg)
 			if got, want := goldenHash(sys), golden[tc.name]; got != want {
 				t.Errorf("telemetry perturbed the schedule: hash = %s, pinned %s", got, want)
 			}
@@ -326,14 +330,111 @@ func TestGoldenTracesTelemetryOn(t *testing.T) {
 					reg.Value(telemetry.CEventsApplied), sys.Steps())
 			}
 			// Suspect-set cases crash a location under a complete detector,
-			// so the observer gate must have seen suspicions appear; detection
-			// latency is recorded once per (observer, crashed) pair.
+			// so the QoS record must have seen suspicions appear; detection
+			// latency is recorded once per (family, observer, crashed).
 			if tc.wantSusp && reg.Value(telemetry.CSuspicionAdded) == 0 {
-				t.Error("suspicion observer attached but counted no additions")
+				t.Error("QoS recorded but counted no additions")
 			}
 			if tc.wantSusp && (reg.Hist(telemetry.HDetectionLatency) == nil ||
 				reg.Hist(telemetry.HDetectionLatency).Count() == 0) {
 				t.Error("no detection latencies observed in a crashing run")
+			}
+		})
+	}
+}
+
+// TestTelemetryQoSMatchesCompute checks that the detector-QoS telemetry of
+// a run equals the offline analyses of its trace: the suspicion counters sum
+// Transitions' additions and removals, and the detection-latency and
+// mistake-duration histograms hold exactly Compute's Detection.Steps and
+// Mistake.Steps — for simulated round-robin and random runs and for a live
+// run on the channel transport.
+func TestTelemetryQoSMatchesCompute(t *testing.T) {
+	gossip, err := chaos.ParseTarget("gossip:" + afd.FamilyEvQ + ">" + afd.FamilyEvP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ◇P automaton suspects wrongly before it stabilizes, so its runs
+	// also exercise removals and mistake intervals.
+	sim := func(schedKind string, seed int64) func(*testing.T, *telemetry.Registry) trace.T {
+		return func(t *testing.T, reg *telemetry.Registry) trace.T {
+			r := chaos.Run{
+				Target: chaos.DetectorTarget{Family: afd.FamilyEvP}, N: 4,
+				Plan: system.CrashOf(3), Sched: schedKind, Seed: seed,
+			}
+			v, err := chaos.ExecuteInstrumented(r, chaos.TelemetryHook(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Failed() {
+				t.Fatalf("specification violated: %v", v.Err)
+			}
+			return v.Trace
+		}
+	}
+	cases := []struct {
+		name         string
+		wantMistakes bool
+		run          func(*testing.T, *telemetry.Registry) trace.T
+	}{
+		{"sim/rr", true, sim(chaos.SchedRoundRobin, 0)},
+		{"sim/random", true, sim(chaos.SchedRandom, 3)},
+		{"live/chan", false, func(t *testing.T, reg *telemetry.Registry) trace.T {
+			if testing.Short() {
+				t.Skip("live run in -short mode")
+			}
+			rep, err := live.RunTarget(live.RunSpec{
+				Target: gossip, N: 4, Plan: system.CrashOf(3),
+				Opts: live.Options{Seed: 1, Duration: 10 * time.Second, Telemetry: reg},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Ok() {
+				t.Fatalf("live run invalid: verdict=%v replay=%v", rep.VerdictErr, rep.ReplayErr)
+			}
+			return rep.Artifact.Trace
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			tr := tc.run(t, reg)
+			causal.RecordQoS(tr, reg)
+
+			var added, removed int64
+			for _, x := range (&causal.DAG{Events: tr}).Transitions() {
+				added += int64(len(x.Added))
+				removed += int64(len(x.Removed))
+			}
+			var dets, detSum, mistakes, mistakeSum int64
+			for _, s := range causal.Compute(tr, nil) {
+				for _, d := range s.Detections {
+					dets, detSum = dets+1, detSum+int64(d.Steps)
+				}
+				for _, m := range s.Mistakes {
+					mistakes, mistakeSum = mistakes+1, mistakeSum+int64(m.Steps)
+				}
+			}
+			if added == 0 || dets == 0 {
+				t.Fatalf("crashing run shows %d additions and %d detections", added, dets)
+			}
+			if tc.wantMistakes && (removed == 0 || mistakes == 0) {
+				t.Fatalf("◇P run shows %d removals and %d mistakes", removed, mistakes)
+			}
+			if got := reg.Value(telemetry.CSuspicionAdded); got != added {
+				t.Errorf("suspicion_added = %d, Transitions add %d", got, added)
+			}
+			if got := reg.Value(telemetry.CSuspicionRemoved); got != removed {
+				t.Errorf("suspicion_removed = %d, Transitions remove %d", got, removed)
+			}
+			if h := reg.Hist(telemetry.HDetectionLatency); h.Count() != dets || h.Sum() != detSum {
+				t.Errorf("detection latency: count %d sum %d, Compute has %d detections summing %d",
+					h.Count(), h.Sum(), dets, detSum)
+			}
+			if h := reg.Hist(telemetry.HMistakeDuration); h.Count() != mistakes || h.Sum() != mistakeSum {
+				t.Errorf("mistake duration: count %d sum %d, Compute has %d mistakes summing %d",
+					h.Count(), h.Sum(), mistakes, mistakeSum)
 			}
 		})
 	}

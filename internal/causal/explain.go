@@ -2,9 +2,10 @@ package causal
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ioa"
+	"repro/internal/trace"
 )
 
 // Transition is one FD-output event that changed an observer's suspect set:
@@ -26,46 +27,71 @@ type Transition struct {
 // "suspect everyone" reading of malformed payloads is a checker-side
 // convention; provenance only explains well-formed sets).
 func (d *DAG) Transitions() []Transition {
+	var out []Transition
+	foldSuspicions(d.Events, func(tr Transition) {
+		if len(tr.Added) > 0 || len(tr.Removed) > 0 {
+			tr.Added, tr.Removed = cloneLocs(tr.Added), cloneLocs(tr.Removed)
+			out = append(out, tr)
+		}
+	})
+	return out
+}
+
+// foldSuspicions is the one reading of a trace's suspect-set stream, shared
+// by Transitions, Compute and RecordQoS.  It calls visit once per
+// well-formed FD output, in event order, with the locations the output added
+// to and removed from the previous set of the same (family, observer) — both
+// empty when it changed nothing, so visit still sees the observer.  Added
+// and Removed are sorted scratch buffers, valid only during the call.  An
+// output whose payload repeats its predecessor's is not decoded again;
+// undecodable payloads are skipped.
+func foldSuspicions(t trace.T, visit func(Transition)) {
 	type fdKey struct {
 		name string
 		loc  ioa.Loc
 	}
-	last := map[fdKey]map[ioa.Loc]bool{}
-	var out []Transition
-	for idx, act := range d.Events {
+	type fdLast struct {
+		payload string
+		set     map[ioa.Loc]bool
+	}
+	last := map[fdKey]fdLast{}
+	var added, removed []ioa.Loc
+	for idx, act := range t {
 		if act.Kind != ioa.KindFD {
 			continue
 		}
-		set, err := ioa.DecodeLocSet(act.Payload)
-		if err != nil {
-			continue
-		}
 		key := fdKey{act.Name, act.Loc}
-		prev := last[key]
-		tr := Transition{Event: idx, Observer: act.Loc, Family: act.Name}
-		for j := range set {
-			if set[j] && !prev[j] {
-				tr.Added = append(tr.Added, j)
+		prev, seen := last[key]
+		added, removed = added[:0], removed[:0]
+		if !seen || act.Payload != prev.payload {
+			set, err := ioa.DecodeLocSet(act.Payload)
+			if err != nil {
+				continue
 			}
-		}
-		for j := range prev {
-			if prev[j] && !set[j] {
-				tr.Removed = append(tr.Removed, j)
+			for j := range set {
+				if !prev.set[j] {
+					added = append(added, j)
+				}
 			}
+			for j := range prev.set {
+				if !set[j] {
+					removed = append(removed, j)
+				}
+			}
+			slices.Sort(added)
+			slices.Sort(removed)
+			last[key] = fdLast{act.Payload, set}
 		}
-		last[key] = set
-		if len(tr.Added) == 0 && len(tr.Removed) == 0 {
-			continue
-		}
-		sortLocs(tr.Added)
-		sortLocs(tr.Removed)
-		out = append(out, tr)
+		visit(Transition{Event: idx, Observer: act.Loc, Family: act.Name, Added: added, Removed: removed})
 	}
-	return out
 }
 
-func sortLocs(ls []ioa.Loc) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+// cloneLocs copies a scratch location list, keeping an empty one nil.
+func cloneLocs(ls []ioa.Loc) []ioa.Loc {
+	if len(ls) == 0 {
+		return nil
+	}
+	return append([]ioa.Loc(nil), ls...)
 }
 
 // ChainLink is one event on a minimal explaining chain.

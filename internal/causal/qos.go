@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/ioa"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -24,7 +25,8 @@ type Detection struct {
 
 // Mistake is one wrong-suspicion interval: an observer suspecting a
 // location that had not crashed, measured from the suspicion's start to its
-// removal (or to the crash/end of trace if never removed).
+// removal, the suspect's crash or the end of the record, whichever comes
+// first.
 type Mistake struct {
 	Observer ioa.Loc `json:"observer"`
 	Suspect  ioa.Loc `json:"suspect"`
@@ -70,81 +72,70 @@ type Stats struct {
 // for simulated records.  Steps are trace event indices — the uniform
 // "time" both engines share.
 func Compute(t trace.T, stamps []int64) []Stats {
-	type fdKey struct {
-		name string
-		loc  ioa.Loc
-	}
 	type obsPair struct {
 		obs, sub ioa.Loc
 	}
 	stamped := len(stamps) == len(t) && len(t) > 0
-	ns := func(i int) int64 {
-		if stamped {
-			return stamps[i]
-		}
-		return -1
-	}
 
 	crashStep := map[ioa.Loc]int{}
-	last := map[fdKey]map[ioa.Loc]bool{}
-	observers := map[string]map[ioa.Loc]bool{}
-	// Per family: open suspicion intervals and the event of the last
-	// still-standing addition (candidate permanent detection).
-	type interval struct {
-		start int
-	}
-	open := map[string]map[obsPair]interval{}
-	closed := map[string][]Mistake{}
-	lastAdd := map[string]map[obsPair]int{}
-
 	for idx, act := range t {
-		switch act.Kind {
-		case ioa.KindCrash:
-			if _, ok := crashStep[act.Loc]; !ok {
-				crashStep[act.Loc] = idx
-			}
-		case ioa.KindFD:
-			set, err := ioa.DecodeLocSet(act.Payload)
-			if err != nil {
-				continue
-			}
-			fam := act.Name
-			if observers[fam] == nil {
-				observers[fam] = map[ioa.Loc]bool{}
-				open[fam] = map[obsPair]interval{}
-				lastAdd[fam] = map[obsPair]int{}
-			}
-			observers[fam][act.Loc] = true
-			key := fdKey{fam, act.Loc}
-			prev := last[key]
-			for j := range set {
-				if set[j] && !prev[j] {
-					p := obsPair{act.Loc, j}
-					lastAdd[fam][p] = idx
-					if _, crashed := crashStep[j]; !crashed {
-						if _, o := open[fam][p]; !o {
-							open[fam][p] = interval{start: idx}
-						}
-					}
-				}
-			}
-			for j := range prev {
-				if prev[j] && !set[j] {
-					p := obsPair{act.Loc, j}
-					delete(lastAdd[fam], p)
-					if iv, o := open[fam][p]; o {
-						delete(open[fam], p)
-						closed[fam] = append(closed[fam], Mistake{
-							Observer: p.obs, Suspect: p.sub,
-							Start: iv.start, End: idx, Steps: idx - iv.start,
-							Removed: true,
-						})
-					}
-				}
-			}
-			last[key] = set
+		if act.Kind != ioa.KindCrash {
+			continue
+		}
+		if _, ok := crashStep[act.Loc]; !ok {
+			crashStep[act.Loc] = idx
 		}
 	}
+	// mistake ends the wrong suspicion p opened at start: at end, or at the
+	// suspect's crash if that came first, in which case the detector did not
+	// take it back.
+	mistake := func(p obsPair, start, end int, removed bool) Mistake {
+		if cs, crashed := crashStep[p.sub]; crashed && cs < end {
+			end, removed = cs, false
+		}
+		m := Mistake{
+			Observer: p.obs, Suspect: p.sub,
+			Start: start, End: end, Steps: end - start,
+			Removed: removed,
+		}
+		if stamped && end < len(stamps) {
+			m.Ns = stamps[end] - stamps[start]
+		}
+		return m
+	}
+
+	observers := map[string]map[ioa.Loc]bool{}
+	// Per family: the start of each open wrong suspicion and the event of
+	// the last still-standing addition (candidate permanent detection).
+	open := map[string]map[obsPair]int{}
+	closed := map[string][]Mistake{}
+	lastAdd := map[string]map[obsPair]int{}
+	foldSuspicions(t, func(tr Transition) {
+		fam := tr.Family
+		if observers[fam] == nil {
+			observers[fam] = map[ioa.Loc]bool{}
+			open[fam] = map[obsPair]int{}
+			lastAdd[fam] = map[obsPair]int{}
+		}
+		observers[fam][tr.Observer] = true
+		for _, j := range tr.Added {
+			p := obsPair{tr.Observer, j}
+			lastAdd[fam][p] = tr.Event
+			if cs, crashed := crashStep[j]; !crashed || cs > tr.Event {
+				if _, o := open[fam][p]; !o {
+					open[fam][p] = tr.Event
+				}
+			}
+		}
+		for _, j := range tr.Removed {
+			p := obsPair{tr.Observer, j}
+			delete(lastAdd[fam], p)
+			if start, o := open[fam][p]; o {
+				delete(open[fam], p)
+				closed[fam] = append(closed[fam], mistake(p, start, tr.Event, true))
+			}
+		}
+	})
 
 	end := len(t)
 	fams := make([]string, 0, len(observers))
@@ -170,7 +161,7 @@ func Compute(t trace.T, stamps []int64) []Stats {
 				Steps: max(addIdx-cs, 0),
 			}
 			if stamped {
-				det.Ns = max64(ns(addIdx)-ns(cs), 0)
+				det.Ns = max(stamps[addIdx]-stamps[cs], 0)
 			}
 			s.Detections = append(s.Detections, det)
 			perCrash[p.sub] = append(perCrash[p.sub], addIdx)
@@ -208,7 +199,7 @@ func Compute(t trace.T, stamps []int64) []Stats {
 				s.PropagationSteps = spread
 			}
 			if stamped {
-				if spread := ns(hi) - ns(lo); spread > s.PropagationNs {
+				if spread := stamps[hi] - stamps[lo]; spread > s.PropagationNs {
 					s.PropagationNs = spread
 				}
 			}
@@ -217,28 +208,18 @@ func Compute(t trace.T, stamps []int64) []Stats {
 		// Mistakes: closed intervals plus still-open wrong suspicions,
 		// truncated at the suspect's crash or the record's end.
 		s.Mistakes = append(s.Mistakes, closed[fam]...)
-		for p, iv := range open[fam] {
-			stop := end
-			if cs, crashed := crashStep[p.sub]; crashed && cs > iv.start {
-				stop = cs
-			}
-			m := Mistake{
-				Observer: p.obs, Suspect: p.sub,
-				Start: iv.start, End: stop, Steps: stop - iv.start,
-			}
-			if stamped && stop < len(stamps) {
-				m.Ns = ns(stop) - ns(iv.start)
-			}
-			s.Mistakes = append(s.Mistakes, m)
-		}
-		for i, m := range s.Mistakes {
-			if stamped && m.Removed {
-				s.Mistakes[i].Ns = ns(m.End) - ns(m.Start)
-			}
+		for p, start := range open[fam] {
+			s.Mistakes = append(s.Mistakes, mistake(p, start, end, false))
 		}
 		sort.Slice(s.Mistakes, func(i, j int) bool {
 			a, b := s.Mistakes[i], s.Mistakes[j]
-			return a.Start < b.Start || (a.Start == b.Start && a.Observer < b.Observer)
+			if a.Start != b.Start {
+				return a.Start < b.Start
+			}
+			if a.Observer != b.Observer {
+				return a.Observer < b.Observer
+			}
+			return a.Suspect < b.Suspect
 		})
 		s.MistakeCount = len(s.Mistakes)
 		var mSum float64
@@ -256,9 +237,34 @@ func Compute(t trace.T, stamps []int64) []Stats {
 	return out
 }
 
+// RecordQoS records the detector QoS of a finished trace into tel:
+// CSuspicionAdded and CSuspicionRemoved sum the additions and removals of
+// every suspect-set transition, HDetectionLatency samples every
+// Detection.Steps and HMistakeDuration every Mistake.Steps that Compute
+// reports.  It reads the fold Transitions and Compute read, so telemetry and
+// the offline analyses agree by construction, for simulated and live
+// traces alike.
+func RecordQoS(t trace.T, tel telemetry.Sink) {
+	var added, removed int
+	foldSuspicions(t, func(tr Transition) {
+		added += len(tr.Added)
+		removed += len(tr.Removed)
+	})
+	tel.Count(telemetry.CSuspicionAdded, int64(added))
+	tel.Count(telemetry.CSuspicionRemoved, int64(removed))
+	for _, s := range Compute(t, nil) {
+		for _, d := range s.Detections {
+			tel.Observe(telemetry.HDetectionLatency, int64(d.Steps))
+		}
+		for _, m := range s.Mistakes {
+			tel.Observe(telemetry.HMistakeDuration, int64(m.Steps))
+		}
+	}
+}
+
 // Summary aggregates a family's Stats across many executions (a chaos
 // survey cell, a size sweep row).  Ns figures are zero unless every
-// aggregated record was stamped.
+// aggregated record with detections was stamped.
 type Summary struct {
 	Family string `json:"family"`
 	Runs   int    `json:"runs"`
@@ -298,7 +304,8 @@ func Summarize(all []Stats) []Summary {
 		sum.Detections += len(s.Detections)
 		detSteps[s.Family] += s.DetectionMeanSteps * float64(len(s.Detections))
 		detNs[s.Family] += s.DetectionMeanNs * float64(len(s.Detections))
-		if s.DetectionMeanNs == 0 {
+		// Only runs with detections say whether the record was stamped.
+		if len(s.Detections) > 0 && s.DetectionMeanNs == 0 {
 			stampedAll[s.Family] = false
 		}
 		if s.DetectionMaxSteps > sum.DetectionMaxSteps {
@@ -343,25 +350,4 @@ func Summarize(all []Stats) []Summary {
 		out = append(out, *sum)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ioa"
@@ -149,5 +150,133 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.Mistakes != 1 || s.MistakesPerRun != 0.5 || s.MistakeMeanSteps != 5 {
 		t.Fatalf("mistake aggregate = %+v", s)
+	}
+
+	// A stamped run beside one with no detections keeps its wall-clock
+	// figures: only runs with detections say whether the record was stamped.
+	stamped := Summarize([]Stats{
+		{Family: "FD-P", Detections: []Detection{{Ns: 100}, {Ns: 200}},
+			DetectionMeanNs: 150, DetectionMaxNs: 200},
+		{Family: "FD-P"},
+	})[0]
+	if stamped.DetectionMeanNs != 150 || stamped.DetectionMaxNs != 200 {
+		t.Fatalf("stamped summary beside an empty run = %+v", stamped)
+	}
+}
+
+// A wrong suspicion whose suspect crashes before the detector takes it back
+// ends at the crash, not at the later removal.
+func TestComputeMistakeEndsAtCrash(t *testing.T) {
+	tr := trace.T{
+		ioa.FDOutput("FD-P", 0, "{1}"), // 0: 0 suspects 1 while it is live
+		ioa.Crash(1),                   // 1: 1 crashes
+		ioa.FDOutput("FD-P", 0, "{}"),  // 2: 0 drops the suspicion
+	}
+	stats := Compute(tr, []int64{0, 100, 300})
+	want := []Mistake{{Observer: 0, Suspect: 1, Start: 0, End: 1, Steps: 1, Ns: 100}}
+	if got := stats[0].Mistakes; !reflect.DeepEqual(got, want) {
+		t.Fatalf("mistakes = %+v, want %+v", got, want)
+	}
+}
+
+// TestSuspicionFoldTable pins what Transitions and Compute read out of the
+// same FD outputs on hand-made traces, so both stay one reading of the
+// suspect-set stream.  Observers counts outputs that change nothing, which
+// Transitions drops.
+func TestSuspicionFoldTable(t *testing.T) {
+	cases := []struct {
+		name  string
+		trace trace.T
+		trs   []Transition
+		stats []Stats
+	}{
+		{
+			name:  "empty first output",
+			trace: trace.T{ioa.FDOutput("FD-P", 0, "{}")},
+			stats: []Stats{{Family: "FD-P", Observers: 1}},
+		},
+		{
+			name: "repeated identical payload",
+			trace: trace.T{
+				ioa.FDOutput("FD-P", 0, "{1}"),
+				ioa.FDOutput("FD-P", 0, "{1}"),
+			},
+			trs: []Transition{{Event: 0, Observer: 0, Family: "FD-P", Added: []ioa.Loc{1}}},
+			stats: []Stats{{
+				Family: "FD-P", Observers: 1,
+				Mistakes:     []Mistake{{Observer: 0, Suspect: 1, Start: 0, End: 2, Steps: 2}},
+				MistakeCount: 1, MistakeMeanSteps: 2, MistakeMaxSteps: 2,
+			}},
+		},
+		{
+			name: "malformed payload",
+			trace: trace.T{
+				ioa.FDOutput("FD-P", 1, "bad"),
+				ioa.FDOutput("FD-P", 0, "{1}"),
+				ioa.FDOutput("FD-P", 0, "{1"),
+				ioa.FDOutput("FD-P", 0, "{}"),
+			},
+			trs: []Transition{
+				{Event: 1, Observer: 0, Family: "FD-P", Added: []ioa.Loc{1}},
+				{Event: 3, Observer: 0, Family: "FD-P", Removed: []ioa.Loc{1}},
+			},
+			stats: []Stats{{
+				Family: "FD-P", Observers: 1,
+				Mistakes:     []Mistake{{Observer: 0, Suspect: 1, Start: 1, End: 3, Steps: 2, Removed: true}},
+				MistakeCount: 1, MistakeMeanSteps: 2, MistakeMaxSteps: 2,
+			}},
+		},
+		{
+			name: "two families at one location",
+			trace: trace.T{
+				ioa.Crash(2),
+				ioa.FDOutput("FD-P", 0, "{2}"),
+				ioa.FDOutput("FD-◇Q", 0, "{2}"),
+				ioa.FDOutput("FD-◇Q", 0, "{}"),
+				ioa.FDOutput("FD-P", 0, "{2}"),
+			},
+			trs: []Transition{
+				{Event: 1, Observer: 0, Family: "FD-P", Added: []ioa.Loc{2}},
+				{Event: 2, Observer: 0, Family: "FD-◇Q", Added: []ioa.Loc{2}},
+				{Event: 3, Observer: 0, Family: "FD-◇Q", Removed: []ioa.Loc{2}},
+			},
+			stats: []Stats{
+				{
+					Family: "FD-P", Observers: 1,
+					Detections:         []Detection{{Observer: 0, Crashed: 2, CrashStep: 0, DetectStep: 1, Steps: 1}},
+					DetectionMeanSteps: 1, DetectionMaxSteps: 1,
+				},
+				{Family: "FD-◇Q", Observers: 1},
+			},
+		},
+		{
+			name: "add then remove",
+			trace: trace.T{
+				ioa.FDOutput("FD-P", 0, "{1,2}"),
+				ioa.FDOutput("FD-P", 0, "{2}"),
+			},
+			trs: []Transition{
+				{Event: 0, Observer: 0, Family: "FD-P", Added: []ioa.Loc{1, 2}},
+				{Event: 1, Observer: 0, Family: "FD-P", Removed: []ioa.Loc{1}},
+			},
+			stats: []Stats{{
+				Family: "FD-P", Observers: 1,
+				Mistakes: []Mistake{
+					{Observer: 0, Suspect: 1, Start: 0, End: 1, Steps: 1, Removed: true},
+					{Observer: 0, Suspect: 2, Start: 0, End: 2, Steps: 2},
+				},
+				MistakeCount: 2, MistakeMeanSteps: 1.5, MistakeMaxSteps: 2,
+			}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := (&DAG{Events: tc.trace}).Transitions(); !reflect.DeepEqual(got, tc.trs) {
+				t.Errorf("Transitions = %+v, want %+v", got, tc.trs)
+			}
+			if got := Compute(tc.trace, nil); !reflect.DeepEqual(got, tc.stats) {
+				t.Errorf("Compute = %+v, want %+v", got, tc.stats)
+			}
+		})
 	}
 }

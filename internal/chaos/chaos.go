@@ -148,6 +148,21 @@ type Verdict struct {
 // Failed reports whether the run violated its specification.
 func (v Verdict) Failed() bool { return v.Err != nil }
 
+// TelemetryHook returns an ExecuteInstrumented hook wiring tel through every
+// plane of a built run — the scheduler (Built.Tel), the system
+// (ioa.System.SetTelemetry), and the channel mesh
+// (system.InstrumentChannels) — with a nil final check.  Compose it with an
+// oracle hook by calling both from one instrument function.  Detector QoS
+// is read from the finished trace instead (causal.RecordQoS).
+func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
+	return func(b *Built) func() error {
+		b.Tel = tel
+		b.Sys.SetTelemetry(tel)
+		system.InstrumentChannels(b.Sys, tel)
+		return nil
+	}
+}
+
 // Execute performs one chaos run.  The returned error is an infrastructure
 // error (unknown scheduler, unbuildable target); specification violations
 // land in Verdict.Err.
@@ -161,20 +176,6 @@ func Execute(r Run) (Verdict, error) { return ExecuteInstrumented(r, nil) }
 // divergence between engines undermines the trace the checker judged.
 // instrument must be safe to call once per execution; ShrinkWith passes one
 // to re-instrument every shrink candidate.
-// TelemetryHook returns an ExecuteInstrumented hook wiring tel through every
-// plane of a built run — the scheduler (Built.Tel), the system
-// (ioa.System.SetTelemetry), and the channel mesh
-// (system.InstrumentChannels) — with a nil final check.  Compose it with an
-// oracle hook by calling both from one instrument function.
-func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
-	return func(b *Built) func() error {
-		b.Tel = tel
-		b.Sys.SetTelemetry(tel)
-		system.InstrumentChannels(b.Sys, tel)
-		return nil
-	}
-}
-
 func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, error) {
 	lifo := r.Sched == SchedLIFO
 	var nt *system.Net

@@ -328,9 +328,9 @@ func TestShrinkIdentityOnPass(t *testing.T) {
 }
 
 // TestCompiledPartitionGate exercises the compiled partition gate: cross-side
-// deliveries are vetoed (and logged) exactly inside the window, and the
-// telemetry observer flips GPartitionActive and samples the healed duration
-// into HPartitionSteps without ever vetoing anything itself.
+// deliveries are vetoed (and logged) exactly inside the window, and the same
+// gate flips GPartitionActive and samples the healed duration into
+// HPartitionSteps as it is consulted, whatever it decides.
 func TestCompiledPartitionGate(t *testing.T) {
 	g := NoGates()
 	g.PartitionMask, g.PartitionAt, g.HealAt = 0b01, 5, 12
@@ -346,8 +346,7 @@ func TestCompiledPartitionGate(t *testing.T) {
 	if gate(5, ioa.TaskRef{}, cross) {
 		t.Fatal("cross-side delivery admitted inside the partition window")
 	}
-	// A non-delivery consult inside the window reaches the observer (the
-	// conjunction short-circuits on the vetoed delivery above).
+	// A non-delivery consult inside the window is admitted.
 	if !gate(6, ioa.TaskRef{}, crash) {
 		t.Fatal("partition gate vetoed a crash")
 	}

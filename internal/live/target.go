@@ -72,8 +72,7 @@ func RunTarget(spec RunSpec) (*Report, error) {
 		opts.MaxSteps = chaos.DefaultSteps(spec.N)
 	}
 	if opts.Telemetry != nil {
-		b.Sys.SetTelemetry(opts.Telemetry)
-		system.InstrumentChannels(b.Sys, opts.Telemetry)
+		chaos.TelemetryHook(opts.Telemetry)(b)
 	}
 	rt, err := New(b.Sys, opts)
 	if err != nil {

@@ -86,12 +86,14 @@ const (
 	// CLiveNudges counts live service wakeups triggered by a fired action's
 	// delivery candidates (as opposed to heartbeat-interval wakeups).
 	CLiveNudges
-	// CSuspicionAdded counts suspicion-set additions offered by FD-output
-	// events (a location entering some observer's suspect set), observed by
-	// the admission-neutral suspicion gate (chaos.SuspicionGate).
+	// CSuspicionAdded counts suspicion-set additions by fired FD outputs (a
+	// location entering the suspect set of some observer's detector copy):
+	// the sum of causal.Transition.Added over the run's trace, recorded by
+	// causal.RecordQoS once the run is over.
 	CSuspicionAdded
 	// CSuspicionRemoved counts suspicion-set removals (a location leaving
-	// some observer's suspect set).
+	// the suspect set of some observer's detector copy): the sum of
+	// causal.Transition.Removed, recorded with CSuspicionAdded.
 	CSuspicionRemoved
 	// GValenceFrontier is the current exploration frontier width.
 	GValenceFrontier
@@ -117,15 +119,16 @@ const (
 	// HAmpleSize is the distribution of ample-set sizes (steps expanded) at
 	// reduced execution-tree nodes.
 	HAmpleSize
-	// HDetectionLatency is the distribution of detection latencies in
-	// scheduler steps: crash event → first suspicion of the crashed location
-	// at each observer (the step-indexed QoS figure; live runs report the
-	// wall-clock equivalent through the causal QoS layer, not this
-	// histogram).
+	// HDetectionLatency is the distribution of detection latencies in trace
+	// events: crash → permanent detection of the crashed location, per
+	// detector family and observer (every causal.Detection.Steps, recorded
+	// by causal.RecordQoS for simulated and live runs alike; the wall-clock
+	// figure is causal.Detection.Ns).
 	HDetectionLatency
 	// HMistakeDuration is the distribution of wrong-suspicion interval
-	// lengths in scheduler steps: a live location entering and later leaving
-	// an observer's suspect set.
+	// lengths in trace events: an observer suspecting a location that had
+	// not crashed, until the suspicion is removed, the suspect crashes or the
+	// trace ends (every causal.Mistake.Steps).
 	HMistakeDuration
 
 	numMetrics
