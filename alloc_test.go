@@ -9,12 +9,16 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/afd"
+	"repro/internal/chaos"
 	"repro/internal/ioa"
+	"repro/internal/sched"
 	"repro/internal/system"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // e1System builds the E1 benchmark composition: the Figure-1 P-family
@@ -132,4 +136,72 @@ func TestE1TelemetryOnAllocs(t *testing.T) {
 	if after := reg.Value(telemetry.CCrashes); after <= before {
 		t.Fatalf("crash counter did not advance (%d -> %d): the gated path was not exercised", before, after)
 	}
+}
+
+// scaleRunAt builds target at n locations with location n-1 crashed and
+// runs it under the seeded random scheduler for chaos.DefaultSteps(n)
+// steps.  It returns the trace, the heap allocations per event of the
+// run's second half — once queues and channel rings have grown and the
+// crash has been detected, as the E1 pins measure the warm loop — and the
+// target's checker.
+func scaleRunAt(tb testing.TB, id string, n int) (trace.T, float64, func(trace.T) error) {
+	tb.Helper()
+	target, err := chaos.ParseTarget(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan := system.CrashOf(ioa.Loc(n - 1))
+	b, err := target.Build(n, plan, nil, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	steps := chaos.DefaultSteps(n)
+	sched.Random(b.Sys, 7, sched.Options{MaxSteps: steps / 2, Stop: b.Stop})
+	warm := len(b.Sys.Trace())
+	allocs := mallocs(func() { sched.Random(b.Sys, 8, sched.Options{MaxSteps: steps, Stop: b.Stop}) })
+	tr := b.Sys.Trace()
+	return tr, float64(allocs) / float64(len(tr)-warm), target.Checker(n, plan, true)
+}
+
+// mallocs returns the heap allocations f makes, on one P so that no other
+// goroutine's allocations are counted (as testing.AllocsPerRun does).
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSuspicionCostLinearInEvents pins the checker and the gossip stack as
+// linear in events: allocations per event must not grow with n.  Checking
+// a suspicion-set trace once re-parsed the payload for every location on
+// every output, and gossip decoded all n stored payloads on every FD input,
+// so both made O(n) allocations per event; each now decodes a payload once.
+func TestSuspicionCostLinearInEvents(t *testing.T) {
+	t.Run("checker ◇P", func(t *testing.T) {
+		var at [2]float64
+		for k, n := range []int{8, 32} {
+			tr, _, check := scaleRunAt(t, "detector:"+afd.FamilyEvP, n)
+			var err error
+			at[k] = float64(mallocs(func() { err = check(tr) })) / float64(len(tr))
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+		}
+		if at[1] > at[0] {
+			t.Fatalf("◇P checker allocs per event: %.4f at n=32 > %.4f at n=8", at[1], at[0])
+		}
+	})
+	t.Run("gossip ◇Q>◇P apply", func(t *testing.T) {
+		var at [2]float64
+		for k, n := range []int{8, 32} {
+			_, allocs, _ := scaleRunAt(t, "gossip:"+afd.FamilyEvQ+">"+afd.FamilyEvP, n)
+			at[k] = allocs
+		}
+		if at[1] > at[0] {
+			t.Fatalf("gossip apply allocs per event: %.4f at n=32 > %.4f at n=8", at[1], at[0])
+		}
+	})
 }

@@ -212,8 +212,8 @@ func liveSuspicion(res live.Result, family string) int64 {
 		if crashAt < 0 || a.Kind != ioa.KindFD || a.Name != family {
 			continue
 		}
-		set, err := ioa.DecodeLocSet(a.Payload)
-		if err == nil && set[crashed] {
+		set, err := ioa.ParseLocSet(a.Payload)
+		if err == nil && set.Has(crashed) {
 			return res.Stamps[i] - crashAt
 		}
 	}

@@ -152,41 +152,108 @@ func CheckValidity(t trace.T, n int, family string, w Window) error {
 	return nil
 }
 
-// stableFrom returns the least index s such that every output event of the
-// family in t[s:] satisfies pred, and reports whether the suffix t[s:]
-// contains at least minPer outputs at every live location (non-vacuity).
-// The returned bool is false if no such non-vacuous suffix exists.
-func stableFrom(t trace.T, n int, family string, minPer int, pred func(a ioa.Action) bool) (int, bool) {
-	isOut := IsOutput(family)
-	s := len(t)
-	for i := len(t) - 1; i >= 0; i-- {
-		if isOut(t[i]) && !pred(t[i]) {
-			break
-		}
-		s = i
+// stableSuffix returns the start of the shortest non-vacuous suffix of t:
+// the greatest s such that t[s:] holds at least minPer outputs (isOut) at
+// every live location.  ok is false when t itself holds fewer at some live
+// location.  It scans back from the end only as far as s.
+func stableSuffix(t trace.T, n int, isOut func(ioa.Action) bool, minPer int) (s int, ok bool) {
+	need := make([]int, n)
+	for i := range need {
+		need[i] = minPer
 	}
-	live := trace.Live(t, n)
-	counts := make(map[ioa.Loc]int)
-	for _, a := range t[s:] {
-		if isOut(a) {
-			counts[a.Loc]++
+	for _, a := range t {
+		if a.Kind == ioa.KindCrash {
+			need[a.Loc] = 0
 		}
 	}
-	for l := range live {
-		if counts[l] < minPer {
-			return s, false
+	short := 0
+	for _, c := range need {
+		if c > 0 {
+			short++
 		}
 	}
-	return s, true
+	for s = len(t); short > 0 && s > 0; {
+		s--
+		if a := t[s]; isOut(a) && need[a.Loc] > 0 {
+			if need[a.Loc]--; need[a.Loc] == 0 {
+				short--
+			}
+		}
+	}
+	return s, short == 0
 }
 
-// suspects reports whether the location-set payload of a suspicion-style
-// output event contains i.  Malformed payloads count as suspecting everyone,
-// which makes checkers fail loudly on encoding bugs.
-func suspects(a ioa.Action, i ioa.Loc) bool {
-	set, err := ioa.DecodeLocSet(a.Payload)
-	if err != nil {
-		return true
+// stableFrom reports whether t has a non-vacuous suffix on which every output
+// event of the family satisfies pred, which is given the event's trace
+// index: "eventually permanently pred", read on a finite prefix.  The
+// longest suffix on which pred holds is non-vacuous exactly when it contains
+// the shortest non-vacuous suffix, so only that one is checked.
+func stableFrom(t trace.T, n int, family string, minPer int, pred func(i int) bool) bool {
+	isOut := IsOutput(family)
+	s, ok := stableSuffix(t, n, isOut, minPer)
+	if !ok {
+		return false
 	}
-	return set[i]
+	for i := s; i < len(t); i++ {
+		if isOut(t[i]) && !pred(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// crashSets returns live(t) and faulty(t) for locations 0..n-1 (cf.
+// trace.Live and trace.Faulty).
+func crashSets(t trace.T, n int) (live, faulty ioa.LocSet) {
+	for _, a := range t {
+		if a.Kind == ioa.KindCrash {
+			faulty.Add(a.Loc)
+		}
+	}
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		if !faulty.Has(i) {
+			live.Add(i)
+		}
+	}
+	return live, faulty
+}
+
+// suspicionReader is the checkers' single reading of suspicion-set payloads.
+// It decodes a payload once and reuses the decode while the outputs at a
+// location repeat it.  A malformed payload suspects everyone, which makes
+// checkers fail loudly on encoding bugs: it passes completeness and violates
+// accuracy.  Sets are restricted to the system's locations [0, n), the only
+// ones a clause asks about.
+type suspicionReader struct {
+	all  ioa.LocSet   // [0, n)
+	last []decodedSet // per location: its previous payload and that payload's set
+}
+
+type decodedSet struct {
+	payload string
+	set     ioa.LocSet
+	ok      bool
+}
+
+func newSuspicionReader(n int) *suspicionReader {
+	r := &suspicionReader{}
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		r.all.Add(i)
+	}
+	r.last = make([]decodedSet, n)
+	return r
+}
+
+// set returns the locations output event a suspects; a.Loc must lie in
+// [0, n), as validity guarantees.
+func (r *suspicionReader) set(a ioa.Action) ioa.LocSet {
+	c := &r.last[a.Loc]
+	if !c.ok || c.payload != a.Payload {
+		set, err := ioa.ParseLocSet(a.Payload)
+		if err != nil {
+			set = r.all
+		}
+		c.payload, c.set, c.ok = a.Payload, set.Intersect(r.all), true
+	}
+	return c.set
 }

@@ -52,9 +52,9 @@ func (Omega) Check(t trace.T, n int, w Window) error {
 	// suffix position) reports l.
 	for l := range live {
 		want := ioa.EncodeLoc(l)
-		if _, ok := stableFrom(t, n, FamilyOmega, w.minStable(), func(a ioa.Action) bool {
-			return a.Payload == want && live[a.Loc]
-		}); ok {
+		if stableFrom(t, n, FamilyOmega, w.minStable(), func(i int) bool {
+			return t[i].Payload == want && live[t[i].Loc]
+		}) {
 			return nil
 		}
 	}

@@ -111,48 +111,43 @@ const (
 // a suspicion-set trace of the given family.  t must already be validity-
 // checked.  When there are no live locations every clause below is vacuous
 // (nothing is output after the final crash), so the trace is admissible.
+//
+// Each payload is decoded once (suspicionReader) and every clause is a set
+// operation on the decoded sets, so the check is linear in the events: the
+// "eventually" clauses read only the shortest non-vacuous suffix
+// (stableSuffix), and the per-location ones fold it in one pass.
 func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionProps) error {
 	isOut := IsOutput(family)
-	live := trace.Live(t, n)
-	faulty := trace.Faulty(t)
-	if len(live) == 0 {
+	live, faulty := crashSets(t, n)
+	if live.Len() == 0 {
 		return nil
 	}
+	r := newSuspicionReader(n)
 
 	if props&accuracyPerpetual != 0 {
-		crashed := make(map[ioa.Loc]bool)
+		var crashed ioa.LocSet
 		for _, a := range t {
 			if a.Kind == ioa.KindCrash {
-				crashed[a.Loc] = true
+				crashed.Add(a.Loc)
 				continue
 			}
 			if !isOut(a) {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				if suspects(a, ioa.Loc(i)) && !crashed[ioa.Loc(i)] {
-					return fmt.Errorf("afd: %s suspects %d before crash (strong accuracy)", a, i)
-				}
+			if early := r.set(a).Minus(crashed); early.Len() > 0 {
+				return fmt.Errorf("afd: %s suspects %d before crash (strong accuracy)", a, int(early.AppendLocs(nil)[0]))
 			}
 		}
 	}
 
 	if props&accuracyWeak != 0 {
-		ok := false
-		for l := range live {
-			suspected := false
-			for _, a := range t {
-				if isOut(a) && suspects(a, l) {
-					suspected = true
-					break
-				}
-			}
-			if !suspected {
-				ok = true
-				break
+		var ever ioa.LocSet
+		for _, a := range t {
+			if isOut(a) {
+				ever = ever.Union(r.set(a))
 			}
 		}
-		if !ok {
+		if live.Minus(ever).Len() == 0 {
 			return fmt.Errorf("afd: %s: every live location suspected at some point (weak accuracy)", family)
 		}
 	}
@@ -164,27 +159,25 @@ func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionP
 	}
 
 	if props&accuracyEventualStrong != 0 {
-		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
-			for l := range live {
-				if suspects(a, l) {
-					return false
-				}
-			}
-			return true
-		}); !ok {
+		if !stableFrom(t, n, family, w.minStable(), func(i int) bool {
+			return r.set(t[i]).Intersect(live).Len() == 0
+		}) {
 			return fmt.Errorf("afd: %s never stops suspecting live locations (eventual strong accuracy)", family)
 		}
 	}
 
 	if props&accuracyEventualWeak != 0 {
-		ok := false
-		for l := range live {
-			if _, good := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
-				return !suspects(a, l)
-			}); good {
-				ok = true
-				break
+		// Some live l is eventually unsuspected iff no output in the
+		// shortest non-vacuous suffix suspects it.
+		s, ok := stableSuffix(t, n, isOut, w.minStable())
+		if ok {
+			var late ioa.LocSet
+			for _, a := range t[s:] {
+				if isOut(a) {
+					late = late.Union(r.set(a))
+				}
 			}
+			ok = live.Minus(late).Len() > 0
 		}
 		if !ok {
 			return fmt.Errorf("afd: %s: no live location eventually unsuspected (eventual weak accuracy)", family)
@@ -192,46 +185,37 @@ func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionP
 	}
 
 	if props&completenessStrong != 0 {
-		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
-			for f := range faulty {
-				if !suspects(a, f) {
-					return false
-				}
-			}
-			return true
-		}); !ok {
+		if !stableFrom(t, n, family, w.minStable(), func(i int) bool {
+			return faulty.Minus(r.set(t[i])).Len() == 0
+		}) {
 			return fmt.Errorf("afd: %s: faulty locations not eventually permanently suspected (strong completeness)", family)
 		}
 	}
 
 	if props&completenessWeak != 0 {
-		for f := range faulty {
-			ok := false
-			for l := range live {
-				// Outputs at l must suspect f from some point on,
-				// with at least one output at l in that suffix.
-				s := len(t)
-				for i := len(t) - 1; i >= 0; i-- {
-					a := t[i]
-					if isOut(a) && a.Loc == l && !suspects(a, f) {
-						break
-					}
-					s = i
-				}
-				cnt := 0
-				for _, a := range t[s:] {
-					if isOut(a) && a.Loc == l {
-						cnt++
-					}
-				}
-				if cnt >= w.minStable() {
-					ok = true
-					break
-				}
+		// Live l's outputs permanently suspect f, with at least minStable
+		// outputs at l in that suffix, iff l's last minStable outputs all
+		// suspect f.  covered collects those f over every live l.
+		minPer := w.minStable()
+		seen := make([]int, n)
+		last := make([]ioa.LocSet, n) // ∩ of l's last seen[l] output sets
+		var covered ioa.LocSet
+		for i := len(t) - 1; i >= 0; i-- {
+			a := t[i]
+			if !isOut(a) || !live.Has(a.Loc) || seen[a.Loc] == minPer {
+				continue
 			}
-			if !ok {
-				return fmt.Errorf("afd: %s: faulty %v not permanently suspected by any live location (weak completeness)", family, f)
+			if set := r.set(a); seen[a.Loc] == 0 {
+				last[a.Loc] = set
+			} else {
+				last[a.Loc] = last[a.Loc].Intersect(set)
 			}
+			if seen[a.Loc]++; seen[a.Loc] == minPer {
+				covered = covered.Union(last[a.Loc])
+			}
+		}
+		if missed := faulty.Minus(covered); missed.Len() > 0 {
+			return fmt.Errorf("afd: %s: faulty %v not permanently suspected by any live location (weak completeness)", family, missed.AppendLocs(nil)[0])
 		}
 	}
 

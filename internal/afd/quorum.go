@@ -47,19 +47,19 @@ func (Sigma) Check(t trace.T, n int, w Window) error {
 	if err := CheckValidity(t, n, FamilySigma, w); err != nil {
 		return err
 	}
-	live := trace.Live(t, n)
-	if len(live) == 0 {
+	live, _ := crashSets(t, n)
+	if live.Len() == 0 {
 		return nil
 	}
 	isOut := IsOutput(FamilySigma)
 	// Intersection over the distinct quorums seen (payloads are canonical).
-	distinct := make(map[string]map[ioa.Loc]bool)
+	distinct := make(map[string]ioa.LocSet)
 	for _, a := range t {
 		if !isOut(a) {
 			continue
 		}
 		if _, ok := distinct[a.Payload]; !ok {
-			set, err := ioa.DecodeLocSet(a.Payload)
+			set, err := ioa.ParseLocSet(a.Payload)
 			if err != nil {
 				return fmt.Errorf("afd: Σ payload %q: %v", a.Payload, err)
 			}
@@ -73,7 +73,7 @@ func (Sigma) Check(t trace.T, n int, w Window) error {
 	sort.Strings(keys)
 	for x := 0; x < len(keys); x++ {
 		for y := x; y < len(keys); y++ {
-			if !intersects(distinct[keys[x]], distinct[keys[y]]) {
+			if distinct[keys[x]].Intersect(distinct[keys[y]]).Len() == 0 {
 				return fmt.Errorf("afd: Σ quorums %s and %s do not intersect", keys[x], keys[y])
 			}
 		}
@@ -82,30 +82,12 @@ func (Sigma) Check(t trace.T, n int, w Window) error {
 	if w.Prefix {
 		return nil
 	}
-	if _, ok := stableFrom(t, n, FamilySigma, w.minStable(), func(a ioa.Action) bool {
-		set, err := ioa.DecodeLocSet(a.Payload)
-		if err != nil {
-			return false
-		}
-		for l := range set {
-			if !live[l] {
-				return false
-			}
-		}
-		return true
-	}); !ok {
+	if !stableFrom(t, n, FamilySigma, w.minStable(), func(i int) bool {
+		return distinct[t[i].Payload].Minus(live).Len() == 0
+	}) {
 		return fmt.Errorf("afd: Σ quorums never stabilize to live locations")
 	}
 	return nil
-}
-
-func intersects(a, b map[ioa.Loc]bool) bool {
-	for l := range a {
-		if b[l] {
-			return true
-		}
-	}
-	return false
 }
 
 // AntiOmega is the anti-Ω detector ([31]; named in Section 1): every output
@@ -148,9 +130,9 @@ func (AntiOmega) Check(t trace.T, n int, w Window) error {
 	}
 	for l := range live {
 		skip := ioa.EncodeLoc(l)
-		if _, ok := stableFrom(t, n, FamilyAntiOmega, w.minStable(), func(a ioa.Action) bool {
-			return a.Payload != skip
-		}); ok {
+		if stableFrom(t, n, FamilyAntiOmega, w.minStable(), func(i int) bool {
+			return t[i].Payload != skip
+		}) {
 			return nil
 		}
 	}
@@ -184,23 +166,28 @@ func (d OmegaK) Check(t trace.T, n int, w Window) error {
 	}
 	isOut := IsOutput(FamilyOmegaK)
 	// Safety: every output is a set of exactly K locations.
+	distinct := make(map[string]ioa.LocSet)
 	for _, a := range t {
 		if !isOut(a) {
 			continue
 		}
-		set, err := ioa.DecodeLocSet(a.Payload)
+		if _, ok := distinct[a.Payload]; ok {
+			continue
+		}
+		set, err := ioa.ParseLocSet(a.Payload)
 		if err != nil {
 			return fmt.Errorf("afd: Ωk payload %q: %v", a.Payload, err)
 		}
-		if len(set) != d.K {
-			return fmt.Errorf("afd: Ωk output %s has size %d, want %d", a.Payload, len(set), d.K)
+		if set.Len() != d.K {
+			return fmt.Errorf("afd: Ωk output %s has size %d, want %d", a.Payload, set.Len(), d.K)
 		}
+		distinct[a.Payload] = set
 	}
 	if w.Prefix {
 		return nil // stabilization is eventual
 	}
-	live := trace.Live(t, n)
-	if len(live) == 0 {
+	live, _ := crashSets(t, n)
+	if live.Len() == 0 {
 		return nil
 	}
 	// Candidate stabilized set: payload of the last output event.
@@ -214,19 +201,12 @@ func (d OmegaK) Check(t trace.T, n int, w Window) error {
 	if last == "" {
 		return fmt.Errorf("afd: Ωk: no outputs")
 	}
-	set, err := ioa.DecodeLocSet(last)
-	if err != nil {
-		return fmt.Errorf("afd: Ωk payload %q: %v", last, err)
-	}
-	if len(set) != d.K {
-		return fmt.Errorf("afd: Ωk output %s has size %d, want %d", last, len(set), d.K)
-	}
-	if !intersects(set, live) {
+	if distinct[last].Intersect(live).Len() == 0 {
 		return fmt.Errorf("afd: Ωk stabilized set %s contains no live location", last)
 	}
-	if _, ok := stableFrom(t, n, FamilyOmegaK, w.minStable(), func(a ioa.Action) bool {
-		return a.Payload == last
-	}); !ok {
+	if !stableFrom(t, n, FamilyOmegaK, w.minStable(), func(i int) bool {
+		return t[i].Payload == last
+	}) {
 		return fmt.Errorf("afd: Ωk outputs do not stabilize to a single set")
 	}
 	return nil
@@ -261,8 +241,8 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 	if err := CheckValidity(t, n, FamilyPsiK, w); err != nil {
 		return err
 	}
-	live := trace.Live(t, n)
-	if len(live) == 0 {
+	live, _ := crashSets(t, n)
+	if live.Len() == 0 {
 		return nil
 	}
 	isOut := IsOutput(FamilyPsiK)
@@ -275,7 +255,7 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 	}
 	// (1) k-intersection over distinct quorums: among any K+1 there are two
 	// that intersect ⇔ there is no pairwise-disjoint family of size K+1.
-	distinct := make(map[string]map[ioa.Loc]bool)
+	distinct := make(map[string]ioa.LocSet)
 	for _, a := range t {
 		if !isOut(a) {
 			continue
@@ -285,7 +265,7 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 			return err
 		}
 		if _, ok := distinct[q]; !ok {
-			set, err := ioa.DecodeLocSet(q)
+			set, err := ioa.ParseLocSet(q)
 			if err != nil {
 				return fmt.Errorf("afd: Ψk quorum %q: %v", q, err)
 			}
@@ -314,35 +294,21 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 	if lastK == "" {
 		return fmt.Errorf("afd: Ψk: no outputs")
 	}
-	kset, err := ioa.DecodeLocSet(lastK)
+	kset, err := ioa.ParseLocSet(lastK)
 	if err != nil {
 		return fmt.Errorf("afd: Ψk k-set %q: %v", lastK, err)
 	}
-	if len(kset) != d.K {
-		return fmt.Errorf("afd: Ψk k-set %s has size %d, want %d", lastK, len(kset), d.K)
+	if kset.Len() != d.K {
+		return fmt.Errorf("afd: Ψk k-set %s has size %d, want %d", lastK, kset.Len(), d.K)
 	}
-	if !intersects(kset, live) {
+	if kset.Intersect(live).Len() == 0 {
 		return fmt.Errorf("afd: Ψk stabilized k-set %s contains no live location", lastK)
 	}
-	if _, ok := stableFrom(t, n, FamilyPsiK, w.minStable(), func(a ioa.Action) bool {
-		q, k, err := split(a.Payload)
-		if err != nil {
-			return false
-		}
-		if k != lastK {
-			return false
-		}
-		qs, err := ioa.DecodeLocSet(q)
-		if err != nil {
-			return false
-		}
-		for l := range qs {
-			if !live[l] {
-				return false
-			}
-		}
-		return true
-	}); !ok {
+	if !stableFrom(t, n, FamilyPsiK, w.minStable(), func(i int) bool {
+		// Every output's payload split and its quorum decoded above.
+		q, k, _ := split(t[i].Payload)
+		return k == lastK && distinct[q].Minus(live).Len() == 0
+	}) {
 		return fmt.Errorf("afd: Ψk outputs do not stabilize")
 	}
 	return nil
@@ -369,8 +335,8 @@ func firstKLiveFirst(st *GenState, k int) map[ioa.Loc]bool {
 // subfamily of the given quorums (greedy over ascending size; exact for the
 // nested families our generators produce and a sound lower bound generally,
 // which is what the checker needs to reject).
-func maxDisjointFamily(quorums map[string]map[ioa.Loc]bool) int {
-	sets := make([]map[ioa.Loc]bool, 0, len(quorums))
+func maxDisjointFamily(quorums map[string]ioa.LocSet) int {
+	sets := make([]ioa.LocSet, 0, len(quorums))
 	keys := make([]string, 0, len(quorums))
 	for k := range quorums {
 		keys = append(keys, k)
@@ -379,22 +345,13 @@ func maxDisjointFamily(quorums map[string]map[ioa.Loc]bool) int {
 	for _, k := range keys {
 		sets = append(sets, quorums[k])
 	}
-	sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
-	used := make(map[ioa.Loc]bool)
+	sort.Slice(sets, func(i, j int) bool { return sets[i].Len() < sets[j].Len() })
+	var used ioa.LocSet
 	count := 0
 	for _, s := range sets {
-		disjoint := true
-		for l := range s {
-			if used[l] {
-				disjoint = false
-				break
-			}
-		}
-		if disjoint {
+		if s.Intersect(used).Len() == 0 {
 			count++
-			for l := range s {
-				used[l] = true
-			}
+			used = used.Union(s)
 		}
 	}
 	return count

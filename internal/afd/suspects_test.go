@@ -6,8 +6,13 @@ import (
 	"repro/internal/ioa"
 )
 
-// suspects is the checkers' single reading of an FD-output payload; its
-// malformed-payload convention — suspect everyone — is what makes a
+// suspects asks the checkers' single reading of FD-output payloads,
+// suspicionReader, whether out suspects loc in a system of 4 locations.
+func suspects(out ioa.Action, loc ioa.Loc) bool {
+	return newSuspicionReader(4).set(out).Has(loc)
+}
+
+// The suspicionReader's malformed-payload convention — suspect everyone — is what makes a
 // corrupted output a completeness pass but an accuracy violation, so a
 // detector cannot escape judgment by emitting garbage.
 func TestSuspectsWellFormed(t *testing.T) {

@@ -2,7 +2,6 @@ package causal
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ioa"
 	"repro/internal/trace"
@@ -52,7 +51,7 @@ func foldSuspicions(t trace.T, visit func(Transition)) {
 	}
 	type fdLast struct {
 		payload string
-		set     map[ioa.Loc]bool
+		set     ioa.LocSet
 	}
 	last := map[fdKey]fdLast{}
 	var added, removed []ioa.Loc
@@ -64,22 +63,12 @@ func foldSuspicions(t trace.T, visit func(Transition)) {
 		prev, seen := last[key]
 		added, removed = added[:0], removed[:0]
 		if !seen || act.Payload != prev.payload {
-			set, err := ioa.DecodeLocSet(act.Payload)
+			set, err := ioa.ParseLocSet(act.Payload)
 			if err != nil {
 				continue
 			}
-			for j := range set {
-				if !prev.set[j] {
-					added = append(added, j)
-				}
-			}
-			for j := range prev.set {
-				if !set[j] {
-					removed = append(removed, j)
-				}
-			}
-			slices.Sort(added)
-			slices.Sort(removed)
+			added = set.Minus(prev.set).AppendLocs(added)
+			removed = prev.set.Minus(set).AppendLocs(removed)
 			last[key] = fdLast{act.Payload, set}
 		}
 		visit(Transition{Event: idx, Observer: act.Loc, Family: act.Name, Added: added, Removed: removed})

@@ -431,7 +431,7 @@ func (m *CTMachine) appendMaskRounds(dst []byte, sel func(*ctRound) uint64) []by
 		dst = append(dst, '[')
 		dst = strconv.AppendInt(dst, int64(rd.r), 10)
 		dst = append(dst, ':')
-		dst = appendMaskSet(dst, mask)
+		dst = ioa.MaskLocSet(mask).AppendEncode(dst)
 		dst = append(dst, ']')
 	}
 	return dst

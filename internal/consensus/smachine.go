@@ -396,7 +396,7 @@ func (m *SMachine) AppendEncode(dst []byte) []byte {
 		dst = append(dst, '[')
 		dst = strconv.AppendInt(dst, int64(rd.r), 10)
 		dst = append(dst, ':')
-		dst = appendMaskSet(dst, rd.gotMask)
+		dst = ioa.MaskLocSet(rd.gotMask).AppendEncode(dst)
 		dst = append(dst, ']')
 	}
 	dst = append(dst, "|P"...)

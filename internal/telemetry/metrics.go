@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"expvar"
+	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -223,6 +225,39 @@ func (r *Registry) SetTaskLabels(labels []string) {
 	r.mu.Lock()
 	r.labels = append([]string(nil), labels...)
 	r.mu.Unlock()
+}
+
+// WriteChromeTrace writes the trace recorder's events as Chrome trace JSON
+// (Recorder.WriteChromeTrace), followed by one counter event (phase "C",
+// category "metrics", stamped now) per metric Snapshot reports: a counter or
+// gauge carries {"value"}, a histogram {"count", "sum"}.  So a trace written
+// when a run ends shows the run's final metrics beside its spans.
+func (r *Registry) WriteChromeTrace(w io.Writer) error {
+	snap := r.Snapshot()
+	ts := float64(now()) / 1e3
+	var extra []chromeEvent
+	counter := func(name string, args map[string]any) {
+		extra = append(extra, chromeEvent{Name: name, Cat: "metrics", Ph: "C", TS: ts, Args: args})
+	}
+	for _, vals := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for _, name := range sortedKeys(vals) {
+			counter(name, map[string]any{"value": vals[name]})
+		}
+	}
+	for _, name := range sortedKeys(snap.Histograms) {
+		h := snap.Histograms[name]
+		counter(name, map[string]any{"count": h.Count, "sum": h.Sum})
+	}
+	return r.rec.writeChromeTrace(w, extra)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Snapshot is the JSON form of a registry: every non-zero metric, grouped by

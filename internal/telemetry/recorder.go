@@ -150,7 +150,11 @@ type chromeTrace struct {
 // WriteChromeTrace writes the retained events as Chrome trace_event JSON
 // (the "JSON object format": a traceEvents array plus metadata), suitable
 // for chrome://tracing and https://ui.perfetto.dev.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+func (r *Recorder) WriteChromeTrace(w io.Writer) error { return r.writeChromeTrace(w, nil) }
+
+// writeChromeTrace is WriteChromeTrace with extra events appended after the
+// retained ones.
+func (r *Recorder) writeChromeTrace(w io.Writer, extra []chromeEvent) error {
 	events := r.Snapshot()
 	r.mu.Lock()
 	meta := make(map[string]string, len(r.meta))
@@ -160,7 +164,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	r.mu.Unlock()
 
 	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(events)),
+		TraceEvents:     make([]chromeEvent, 0, len(events)+len(extra)),
 		DisplayTimeUnit: "ms",
 		OtherData:       meta,
 	}
@@ -192,6 +196,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
+	out.TraceEvents = append(out.TraceEvents, extra...)
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(out); err != nil {

@@ -106,7 +106,8 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 //
 // Otherwise the process Default registry is used: addr != "" starts the HTTP
 // endpoint (logging the bound address to stderr), and traceOut != "" makes
-// cleanup write the Chrome trace_event JSON there.
+// cleanup write the Chrome trace_event JSON there: the recorded spans, then
+// the registry's final metrics as counter events (Registry.WriteChromeTrace).
 func Init(addr, traceOut string) (Sink, func(), error) {
 	if addr == "" && traceOut == "" {
 		return nil, func() {}, nil
@@ -131,7 +132,7 @@ func Init(addr, traceOut string) (Sink, func(), error) {
 				return
 			}
 			defer f.Close()
-			if err := reg.Trace().WriteChromeTrace(f); err != nil {
+			if err := reg.WriteChromeTrace(f); err != nil {
 				fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
 			}
 		}

@@ -307,6 +307,66 @@ func TestInitTraceOut(t *testing.T) {
 	}
 }
 
+// TestInitTraceOutCounters: the flushed trace ends with the registry's
+// metrics as Chrome counter events, so a one-shot run that exits right after
+// flushing still shows its counters and histograms.  Init uses the process
+// registry, which other tests may also count into, hence the lower bounds.
+func TestInitTraceOutCounters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	tel, flush, err := Init("", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel.Instant(CatSched, "step", 0, 1)
+	tel.Count(CSuspicionAdded, 3)
+	tel.SetGauge(GPartitionActive, 1)
+	tel.Observe(HDetectionLatency, 5)
+	tel.Observe(HDetectionLatency, 7)
+	flush()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []struct {
+			Name string           `json:"name"`
+			Cat  string           `json:"cat"`
+			Ph   string           `json:"ph"`
+			TS   *float64         `json:"ts"`
+			Pid  *int             `json:"pid"`
+			Tid  *int             `json:"tid"`
+			Args map[string]int64 `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatalf("flushed trace is not valid JSON: %v", err)
+	}
+	counters := map[string]map[string]int64{}
+	sawCounter := false
+	for _, e := range out.TraceEvents {
+		if e.Ph != "C" {
+			if sawCounter {
+				t.Errorf("%s event %q after the counter events", e.Ph, e.Name)
+			}
+			continue
+		}
+		sawCounter = true
+		if e.Cat != "metrics" || e.TS == nil || e.Pid == nil || e.Tid == nil {
+			t.Errorf("counter event %q lacks cat/ts/pid/tid: %+v", e.Name, e)
+		}
+		counters[e.Name] = e.Args
+	}
+	if got := counters[CSuspicionAdded.Name()]["value"]; got < 3 {
+		t.Errorf("suspicion_added counter event value = %d, want ≥ 3 (events: %v)", got, counters)
+	}
+	if got := counters[GPartitionActive.Name()]["value"]; got != 1 {
+		t.Errorf("partition gauge counter event value = %d, want 1", got)
+	}
+	if h := counters[HDetectionLatency.Name()]; h["count"] < 2 || h["sum"] < 12 {
+		t.Errorf("detection latency counter event = %v, want count ≥ 2 and sum ≥ 12", h)
+	}
+}
+
 // TestServeEndpoints boots the opt-in HTTP endpoint on an ephemeral port and
 // checks all three surfaces: expvar, the JSON metric snapshot, and pprof.
 func TestServeEndpoints(t *testing.T) {

@@ -77,12 +77,12 @@ func (m *localMachine) Encode() string { return fmt.Sprintf("L:%s:%d", m.cfg.Nam
 // location — the extraction of Ω from (eventually) accurate+complete
 // suspicion lists.
 func suspicionToLeader(n int, payload string) (string, error) {
-	set, err := ioa.DecodeLocSet(payload)
+	set, err := ioa.ParseLocSet(payload)
 	if err != nil {
 		return "", err
 	}
 	for i := 0; i < n; i++ {
-		if !set[ioa.Loc(i)] {
+		if !set.Has(ioa.Loc(i)) {
 			return ioa.EncodeLoc(ioa.Loc(i)), nil
 		}
 	}
@@ -112,17 +112,17 @@ func Catalog() []Local {
 		{Name: "P→Ω", From: afd.FamilyP, To: afd.FamilyOmega, F: suspicionToLeader},
 		{Name: "◇P→Ω", From: afd.FamilyEvP, To: afd.FamilyOmega, F: suspicionToLeader},
 		{Name: "P→Σ", From: afd.FamilyP, To: afd.FamilySigma, F: func(n int, payload string) (string, error) {
-			set, err := ioa.DecodeLocSet(payload)
+			set, err := ioa.ParseLocSet(payload)
 			if err != nil {
 				return "", err
 			}
-			quorum := make(map[ioa.Loc]bool)
+			var quorum ioa.LocSet
 			for i := 0; i < n; i++ {
-				if !set[ioa.Loc(i)] {
-					quorum[ioa.Loc(i)] = true
+				if !set.Has(ioa.Loc(i)) {
+					quorum.Add(ioa.Loc(i))
 				}
 			}
-			return ioa.EncodeLocSet(quorum), nil
+			return string(quorum.AppendEncode(nil)), nil
 		}},
 		{Name: "Ω→antiΩ", From: afd.FamilyOmega, To: afd.FamilyAntiOmega, F: func(n int, payload string) (string, error) {
 			l, err := ioa.DecodeLoc(payload)
@@ -136,12 +136,12 @@ func Catalog() []Local {
 		// Ωk's stabilized set contains a live location; avoiding the set
 		// therefore eventually never outputs that live location — anti-Ω.
 		{Name: "Ωk→antiΩ", From: afd.FamilyOmegaK, To: afd.FamilyAntiOmega, F: func(n int, payload string) (string, error) {
-			set, err := ioa.DecodeLocSet(payload)
+			set, err := ioa.ParseLocSet(payload)
 			if err != nil {
 				return "", err
 			}
 			for i := 0; i < n; i++ {
-				if !set[ioa.Loc(i)] {
+				if !set.Has(ioa.Loc(i)) {
 					return ioa.EncodeLoc(ioa.Loc(i)), nil
 				}
 			}
@@ -183,24 +183,23 @@ func PToPsiK(k int) Local {
 		From: afd.FamilyP,
 		To:   afd.FamilyPsiK,
 		F: func(n int, payload string) (string, error) {
-			set, err := ioa.DecodeLocSet(payload)
+			set, err := ioa.ParseLocSet(payload)
 			if err != nil {
 				return "", err
 			}
-			quorum := make(map[ioa.Loc]bool)
-			kset := make(map[ioa.Loc]bool)
+			var quorum, kset ioa.LocSet
 			for i := 0; i < n; i++ {
-				if !set[ioa.Loc(i)] {
-					quorum[ioa.Loc(i)] = true
-					if len(kset) < k {
-						kset[ioa.Loc(i)] = true
+				if !set.Has(ioa.Loc(i)) {
+					quorum.Add(ioa.Loc(i))
+					if kset.Len() < k {
+						kset.Add(ioa.Loc(i))
 					}
 				}
 			}
-			for i := 0; i < n && len(kset) < k; i++ {
-				kset[ioa.Loc(i)] = true
+			for i := 0; i < n && kset.Len() < k; i++ {
+				kset.Add(ioa.Loc(i))
 			}
-			return ioa.EncodeLocSet(quorum) + ";" + ioa.EncodeLocSet(kset), nil
+			return string(kset.AppendEncode(append(quorum.AppendEncode(nil), ';'))), nil
 		},
 	}
 }
@@ -231,7 +230,7 @@ type Gossip struct {
 func (g Gossip) Procs(n int) []ioa.Automaton {
 	out := make([]ioa.Automaton, n)
 	for i := 0; i < n; i++ {
-		m := &gossipMachine{cfg: g, n: n, self: ioa.Loc(i), latest: make([]string, n)}
+		m := &gossipMachine{cfg: g, n: n, self: ioa.Loc(i), latest: make([]string, n), sets: make([]ioa.LocSet, n)}
 		out[i] = system.NewProc("gossip:"+g.From+"→"+g.To, ioa.Loc(i), n, m, []string{g.From}, nil)
 	}
 	return out
@@ -243,6 +242,15 @@ type gossipMachine struct {
 	n      int
 	self   ioa.Loc
 	latest []string // latest suspicion payload per sender; "" = none yet
+	// sets[j] is latest[j] decoded, updated only when latest[j] changes;
+	// "" and malformed payloads decode to ∅, adding nothing to the union.
+	sets []ioa.LocSet
+}
+
+// setLatest records sender j's latest payload and its decoded set.
+func (m *gossipMachine) setLatest(j ioa.Loc, payload string) {
+	m.latest[j] = payload
+	m.sets[j], _ = ioa.ParseLocSet(payload) // ∅ when malformed
 }
 
 func (m *gossipMachine) OnFD(a ioa.Action, e *system.Effects) {
@@ -255,7 +263,7 @@ func (m *gossipMachine) OnFD(a ioa.Action, e *system.Effects) {
 	// rebroadcast keeps the queue bounded while still propagating every
 	// change to every live location.
 	if m.latest[m.self] != a.Payload {
-		m.latest[m.self] = a.Payload
+		m.setLatest(m.self, a.Payload)
 		if m.cfg.Forward {
 			e.Broadcast(m.n, tagOrigin(m.self, a.Payload))
 		} else {
@@ -269,7 +277,9 @@ func (m *gossipMachine) OnReceive(from ioa.Loc, msg string, e *system.Effects) {
 	if !m.cfg.Forward {
 		// Update only; the next FD input emits the refreshed union.  Live
 		// locations receive FD inputs forever, so outputs remain infinite.
-		m.latest[from] = msg
+		if m.latest[from] != msg {
+			m.setLatest(from, msg)
+		}
 		return
 	}
 	origin, payload, err := splitOrigin(msg)
@@ -279,10 +289,15 @@ func (m *gossipMachine) OnReceive(from ioa.Loc, msg string, e *system.Effects) {
 		// subsumed by the authoritative local state.
 		return
 	}
-	merged, grew := unionGrow(m.latest[origin], payload)
-	if grew {
-		m.latest[origin] = merged
-		e.Broadcast(m.n, tagOrigin(origin, merged))
+	// Merge the received set into the stored one (monotone union); a
+	// malformed or member-free copy adds nothing, so it is not adopted.
+	recv, err := ioa.ParseLocSet(payload)
+	if err != nil {
+		return
+	}
+	if merged := m.sets[origin].Union(recv); merged.Len() > m.sets[origin].Len() {
+		m.latest[origin], m.sets[origin] = string(merged.AppendEncode(nil)), merged
+		e.Broadcast(m.n, tagOrigin(origin, m.latest[origin]))
 	}
 }
 
@@ -301,54 +316,21 @@ func splitOrigin(msg string) (ioa.Loc, string, error) {
 	return origin, msg[i+1:], err
 }
 
-// unionGrow merges a received location set into the stored one, reporting
-// whether it added members.  A stored "" counts as the empty set, so
-// member-free messages are never adopted (nothing to propagate).
-func unionGrow(stored, received string) (string, bool) {
-	recv, err := ioa.DecodeLocSet(received)
-	if err != nil || len(recv) == 0 {
-		return stored, false
-	}
-	have := map[ioa.Loc]bool{}
-	if stored != "" {
-		if have, err = ioa.DecodeLocSet(stored); err != nil {
-			have = map[ioa.Loc]bool{}
-		}
-	}
-	grew := false
-	for l := range recv {
-		if !have[l] {
-			have[l] = true
-			grew = true
-		}
-	}
-	if !grew {
-		return stored, false
-	}
-	return ioa.EncodeLocSet(have), true
-}
-
+// emit outputs the union of every sender's latest set.
 func (m *gossipMachine) emit(e *system.Effects) {
-	union := make(map[ioa.Loc]bool)
-	for _, p := range m.latest {
-		if p == "" {
-			continue
-		}
-		set, err := ioa.DecodeLocSet(p)
-		if err != nil {
-			continue
-		}
-		for l := range set {
-			union[l] = true
-		}
+	var union ioa.LocSet
+	for _, set := range m.sets {
+		union = union.Union(set)
 	}
-	e.OutputFD(m.cfg.To, ioa.EncodeLocSet(union))
+	var buf [256]byte
+	e.OutputFD(m.cfg.To, string(union.AppendEncode(buf[:0])))
 }
 
 func (m *gossipMachine) Clone() system.Machine {
-	c := &gossipMachine{cfg: m.cfg, n: m.n, self: m.self}
+	c := *m
 	c.latest = append([]string(nil), m.latest...)
-	return c
+	c.sets = append([]ioa.LocSet(nil), m.sets...)
+	return &c
 }
 
 func (m *gossipMachine) Encode() string {
